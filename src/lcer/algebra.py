@@ -13,8 +13,9 @@ found is canonical for the documented order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from .equations import (
     CETheory,
@@ -22,12 +23,13 @@ from .equations import (
     ConversionTrace,
     SearchLimits,
     TraceStep,
+    calc_trace,
     default_value_pool,
     rule_step_candidates,
     term_candidate_pool,
     term_key,
 )
-from .models import UnderlyingModel
+from .models import UnderlyingModel, has_element, satisfying
 from .sexpr import Atom, ParseError, expect_atom, expect_list, head, parse_sexprs
 from .terms import (
     TERM,
@@ -36,6 +38,7 @@ from .terms import (
     Sort,
     Term,
     Variable,
+    subterm_at,
     subterms_of,
     vars_of,
 )
@@ -71,7 +74,8 @@ class FiniteCEAlgebra:
             if sort not in self.carriers:
                 raise AlgebraError(f"no carrier declared for sort {name}")
             if car.finite:
-                missing = set(car.elements) - set(self.carriers[sort])  # type: ignore[arg-type]
+                missing = [e for e in car.elements  # type: ignore[union-attr]
+                           if not has_element(self.carriers[sort], e)]
                 if missing:
                     raise AlgebraError(
                         f"carrier of {name} must contain every model element; "
@@ -115,25 +119,23 @@ class FiniteCEAlgebra:
         return table[args]
 
 
-def _valuations(alg: FiniteCEAlgebra, variables: list[Variable],
-                logical: frozenset[Variable]) -> Iterable[dict[Variable, object]]:
-    """Logical variables range over the underlying part, others over the full
-    carrier, in declared order."""
-    domains = []
-    for v in variables:
-        if v in logical:
-            domains.append(alg.underlying_part(v.sort))
-        else:
-            domains.append(alg.carriers[v.sort])
-    for combo in itertools.product(*domains):
+def _ranges(alg: FiniteCEAlgebra, ce: ConstrainedEquation) -> tuple[list[Variable], list[tuple]]:
+    """The variables of ce in canonical order with their ranges: logical
+    variables over the underlying part, the others over the full carrier."""
+    variables = sorted(vars_of(ce.lhs) | vars_of(ce.rhs) | ce.logical_vars,
+                       key=lambda v: (v.name, v.sort.name))
+    domains = [alg.underlying_part(v.sort) if v in ce.logical_vars else alg.carriers[v.sort]
+               for v in variables]
+    return variables, domains
+
+
+def _admissible(alg: FiniteCEAlgebra, ce: ConstrainedEquation) -> Iterator[dict[Variable, object]]:
+    """Valuations under which ce's constraint holds, in declared order.  The
+    constraint's variables are logical and range over underlying elements, so
+    the underlying model answers it."""
+    variables, domains = _ranges(alg, ce)
+    for combo in satisfying(alg.theory.model, variables, domains, ce.constraint):
         yield dict(zip(variables, combo))
-
-
-def _constraint_holds(alg: FiniteCEAlgebra, ce: ConstrainedEquation,
-                      rho: dict[Variable, object]) -> bool:
-    # Var(constraint) is inside the logical set, which ranges over underlying
-    # elements, so the underlying model answers the query.
-    return bool(alg.theory.model.eval_with(ce.constraint, rho))
 
 
 @dataclass(frozen=True)
@@ -148,28 +150,22 @@ class ModelCheckResult:
 
 def check_is_model(alg: FiniteCEAlgebra, max_valuations: int = 2_000_000) -> ModelCheckResult:
     """Valid iff every equation holds under every admissible valuation."""
-    count = 0
+    budget = max_valuations
     for i, ce in enumerate(alg.theory.equations):
-        variables = sorted(vars_of(ce.lhs) | vars_of(ce.rhs) | ce.logical_vars,
-                           key=lambda v: (v.name, v.sort.name))
-        for rho in _valuations(alg, variables, ce.logical_vars):
-            count += 1
-            if count > max_valuations:
-                raise AlgebraError("model check exceeded the valuation budget")
-            if not _constraint_holds(alg, ce, rho):
-                continue
+        variables, domains = _ranges(alg, ce)
+        for combo in satisfying(alg.theory.model, variables, domains, ce.constraint, budget):
+            rho = dict(zip(variables, combo))
             if alg.eval(ce.lhs, rho) != alg.eval(ce.rhs, rho):
                 return ModelCheckResult(False, i, rho)
+        budget -= math.prod(len(d) for d in domains)
+        if budget < 0:
+            raise AlgebraError("model check exceeded the valuation budget")
     return ModelCheckResult(True)
 
 
 def check_refutes(alg: FiniteCEAlgebra, goal: ConstrainedEquation) -> Optional[dict]:
     """A valuation satisfying the goal's constraint with unequal sides, or None."""
-    variables = sorted(vars_of(goal.lhs) | vars_of(goal.rhs) | goal.logical_vars,
-                       key=lambda v: (v.name, v.sort.name))
-    for rho in _valuations(alg, variables, goal.logical_vars):
-        if not _constraint_holds(alg, goal, rho):
-            continue
+    for rho in _admissible(alg, goal):
         if alg.eval(goal.lhs, rho) != alg.eval(goal.rhs, rho):
             return rho
     return None
@@ -242,13 +238,10 @@ def search_counter_model(
     bounds = (f"extra={max_extra_per_theory_sort} per theory sort, "
               f"term-sort size={term_sort_size}")
 
-    goal_vars = sorted(vars_of(goal.lhs) | vars_of(goal.rhs) | goal.logical_vars,
-                       key=lambda v: (v.name, v.sort.name))
-    eq_plans = []
-    for ce in theory.equations:
-        variables = sorted(vars_of(ce.lhs) | vars_of(ce.rhs) | ce.logical_vars,
-                           key=lambda v: (v.name, v.sort.name))
-        eq_plans.append((ce, variables))
+    # the constraints do not depend on the tables, so each equation's
+    # admissible valuations are found once, not on every search node
+    eq_plans = [(ce, list(_admissible(shell, ce))) for ce in theory.equations]
+    goal_valuations = list(_admissible(shell, goal))
 
     nodes = 0
     exhausted_budget = False
@@ -257,15 +250,11 @@ def search_counter_model(
         """None if some equation fails; otherwise a refuting valuation or
         raises _NoRefutation."""
         ev = _Partial(shell, assignment)
-        for ce, variables in eq_plans:
-            for rho in _valuations(shell, variables, ce.logical_vars):
-                if not bool(model.eval_with(ce.constraint, rho)):
-                    continue
+        for ce, valuations in eq_plans:
+            for rho in valuations:
                 if ev.eval(ce.lhs, rho) != ev.eval(ce.rhs, rho):
                     return None
-        for rho in _valuations(shell, goal_vars, goal.logical_vars):
-            if not bool(model.eval_with(goal.constraint, rho)):
-                continue
+        for rho in goal_valuations:
             if ev.eval(goal.lhs, rho) != ev.eval(goal.rhs, rho):
                 return rho
         raise _NoRefutation()
@@ -456,9 +445,8 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
                         theory, u, value_pool=pool, term_pool=term_pool,
                         cap_per_redex=limits.cap_per_redex):
                     raw = cand.result
-                    step = cand.as_step(
-                        _sub(u, cand.position))
-                    nf, calc_steps = _norm(model, raw)
+                    step = cand.as_step(subterm_at(u, cand.position))
+                    nf, calc_steps = calc_trace(model, raw)
                     if nf in traces:
                         continue
                     traces[nf] = traces[u] + (step, *calc_steps)
@@ -475,18 +463,6 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
             if not frontier:
                 break
     return ConsistencyReport(True, depth)
-
-
-def _sub(t: Term, pos) -> Term:
-    from .terms import subterm_at
-
-    return subterm_at(t, pos)
-
-
-def _norm(model, t):
-    from .equations import calc_trace
-
-    return calc_trace(model, t)
 
 
 # -- algebra files ---------------------------------------------------------------
@@ -552,7 +528,7 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
             result = _parse_element(model, sym.result_sort,
                                     expect_atom(entry.items[1], "an element"))
             for s, e in zip(sym.arg_sorts + (sym.result_sort,), args + (result,)):
-                if e not in carriers.get(s, ()):
+                if not has_element(carriers.get(s, ()), e):
                     raise ParseError(f"element {e} is not in the carrier of {s.name}",
                                      entry.line, entry.col)
             if sym.kind == THEORY and all(

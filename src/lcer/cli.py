@@ -448,6 +448,10 @@ def main(argv=None) -> int:
             ValueError) as e:
         code, payload, lines = EXIT_INPUT, {"verdict": "input-error",
                                             "detail": str(e)}, [f"error: {e}"]
+    except RecursionError:
+        detail = "input nests too deeply to process"
+        code, payload, lines = EXIT_INPUT, {"verdict": "input-error",
+                                            "detail": detail}, [f"error: {detail}"]
     except OracleFailure as e:
         code, payload, lines = EXIT_ORACLE, {"verdict": "oracle-failure",
                                              "detail": str(e)}, [f"oracle failure: {e}"]

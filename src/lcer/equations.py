@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .models import UnderlyingModel, enumerate_satisfying
+from .models import UnderlyingModel, enumerate_satisfying, satisfying
 from .terms import (
     THEORY,
     App,
@@ -249,33 +249,25 @@ def _extra_assignments(
         if vars_of(constraint):
             return []
         return [{}] if model.eval_constraint(constraint) else []
-    out: list[dict[Variable, Term]] = []
-    seen: set[tuple] = set()
+    # keyed by raw value tuples, in first-found order
+    found: dict[tuple, dict[Variable, Term]] = {}
     if solve_box is not None:
         for sigma in enumerate_satisfying(model, set(extras), constraint, box=solve_box):
-            key = tuple(term_key(sigma[v]) for v in extras)
-            if key not in seen:
-                seen.add(key)
-                out.append(sigma)
-            if len(out) >= cap:
-                return out
-    domains = []
-    for v in extras:
-        elems = value_pool.get(v.sort)
-        if elems is None:
-            return out
-        domains.append([model.value_term(v.sort, e) for e in elems])
-    for combo in itertools.product(*domains):
-        sigma = dict(zip(extras, combo))
-        key = tuple(term_key(sigma[v]) for v in extras)
-        if key in seen:
-            continue
-        if model.eval_constraint(apply_subst(sigma, constraint)):
-            seen.add(key)
-            out.append(sigma)
-        if len(out) >= cap:
-            break
-    return out
+            found[tuple(sigma[v].fun.value for v in extras)] = sigma
+            if len(found) >= cap:
+                return list(found.values())
+    domains = [value_pool.get(v.sort) for v in extras]
+    if None in domains:
+        return list(found.values())
+    for v, elems in zip(extras, domains):
+        for e in elems:
+            model.value_symbol(v.sort, e)  # pool values may come from the command line
+    for combo in satisfying(model, extras, domains, constraint):
+        if combo not in found:
+            found[combo] = model.value_subst(extras, combo)
+            if len(found) >= cap:
+                break
+    return list(found.values())
 
 
 def rule_step_candidates(
@@ -388,9 +380,10 @@ def conversion_search(
 ) -> Optional[ConversionTrace]:
     """Search for a conversion trace of length <= limits.bound, or None.
 
-    Bidirectional uniform-cost search over calc-normal forms, deterministic
-    expansion order, meeting in the middle; the returned trace is one of
-    minimal length (ties broken by term size and a fixed term order).
+    Bidirectional best-first search over calc-normal forms, expanding in the
+    documented order of (steps + term size) with a fixed term order breaking
+    ties; the returned trace is the first meeting within the bound under
+    that order, which need not be the shortest.
     """
     if sort_of(s) != sort_of(t):
         raise CEError("conversion endpoints must have the same sort")

@@ -11,8 +11,9 @@ div(x, 0) = 0 and mod(x, 0) = x.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .terms import (
     THEORY,
@@ -72,6 +73,12 @@ def _bool_ops(eq_sorts: list[Sort]) -> tuple[list[FunSymbol], dict[str, Callable
     return syms, interp
 
 
+def has_element(elements: Iterable, element: object) -> bool:
+    """Membership by type and value: Python's True == 1 must not let the
+    boolean true stand for the integer 1."""
+    return any(type(e) is type(element) and e == element for e in elements)
+
+
 @dataclass(frozen=True)
 class Carrier:
     """Explicit finite carrier, or the integers when elements is None."""
@@ -97,7 +104,7 @@ class UnderlyingModel:
         self.symbols = {f.name: f for f in symbols}
         self.interp = interp
         self.carriers = carriers
-        self._value_cache: dict[tuple[str, object], FunSymbol] = {}
+        self._value_cache: dict[tuple[str, type, object], FunSymbol] = {}
         for s in sorts:
             if carriers[s].finite:
                 for e in carriers[s].elements:  # type: ignore[union-attr]
@@ -106,7 +113,7 @@ class UnderlyingModel:
     # -- values ------------------------------------------------------------
 
     def value_symbol(self, sort: Sort, element: object) -> FunSymbol:
-        key = (sort.name, element)
+        key = (sort.name, type(element), element)
         sym = self._value_cache.get(key)
         if sym is None:
             if not self.element_in_carrier(sort, element):
@@ -119,6 +126,10 @@ class UnderlyingModel:
     def value_term(self, sort: Sort, element: object) -> App:
         return App(self.value_symbol(sort, element))
 
+    def value_subst(self, order: list[Variable], values: tuple) -> dict[Variable, Term]:
+        """Each variable of order mapped to the value constant of its element."""
+        return {v: self.value_term(v.sort, e) for v, e in zip(order, values)}
+
     @staticmethod
     def value_name(element: object) -> str:
         if isinstance(element, bool):
@@ -130,7 +141,7 @@ class UnderlyingModel:
         if car is None:
             return False
         if car.finite:
-            return element in car.elements  # type: ignore[operator]
+            return has_element(car.elements, element)  # type: ignore[arg-type]
         return isinstance(element, int) and not isinstance(element, bool)
 
     def is_value_term(self, t: Term) -> bool:
@@ -245,70 +256,40 @@ def bool_model() -> UnderlyingModel:
         "bool", [BOOL], syms, interp, {BOOL: Carrier((False, True))})
 
 
-def lia_model() -> UnderlyingModel:
+def _int_model(name: str, wrap: Callable[[int], int],
+               int_carrier: Carrier) -> UnderlyingModel:
+    """Booleans plus integer arithmetic and comparisons; every arithmetic
+    result passes through wrap."""
     i, b = INT, BOOL
     syms, interp = _bool_ops([BOOL, INT])
-    syms += [
-        FunSymbol("+", (i, i), i, THEORY),
-        FunSymbol("-", (i, i), i, THEORY),
-        FunSymbol("neg", (i,), i, THEORY),
-        FunSymbol("*", (i, i), i, THEORY),
-        FunSymbol("div", (i, i), i, THEORY),
-        FunSymbol("mod", (i, i), i, THEORY),
-        FunSymbol("<", (i, i), b, THEORY),
-        FunSymbol("<=", (i, i), b, THEORY),
-        FunSymbol(">", (i, i), b, THEORY),
-        FunSymbol(">=", (i, i), b, THEORY),
-    ]
-    interp.update({
-        "+": lambda x, y: x + y,
-        "-": lambda x, y: x - y,
-        "neg": lambda x: -x,
-        "*": lambda x, y: x * y,
-        "div": euclidean_div,
-        "mod": euclidean_mod,
-        "<": lambda x, y: x < y,
-        "<=": lambda x, y: x <= y,
-        ">": lambda x, y: x > y,
-        ">=": lambda x, y: x >= y,
-    })
+    arith: dict[str, Callable] = {
+        "+": lambda x, y: wrap(x + y),
+        "-": lambda x, y: wrap(x - y),
+        "neg": lambda x: wrap(-x),
+        "*": lambda x, y: wrap(x * y),
+        "div": lambda x, y: wrap(euclidean_div(x, y)),
+        "mod": lambda x, y: wrap(euclidean_mod(x, y)),
+    }
+    for op, fn in arith.items():
+        syms.append(FunSymbol(op, (i,) if op == "neg" else (i, i), i, THEORY))
+        interp[op] = fn
+    for op, fn in (("<", operator.lt), ("<=", operator.le),
+                   (">", operator.gt), (">=", operator.ge)):
+        syms.append(FunSymbol(op, (i, i), b, THEORY))
+        interp[op] = fn
     return UnderlyingModel(
-        "lia", [BOOL, INT], syms, interp,
-        {BOOL: Carrier((False, True)), INT: Carrier(None)})
+        name, [BOOL, INT], syms, interp,
+        {BOOL: Carrier((False, True)), INT: int_carrier})
+
+
+def lia_model() -> UnderlyingModel:
+    return _int_model("lia", lambda x: x, Carrier(None))
 
 
 def intmod_model(n: int) -> UnderlyingModel:
     if not 1 <= n <= 64:
         raise ValueError("modulus must be in 1..64")
-    i, b = INT, BOOL
-    syms, interp = _bool_ops([BOOL, INT])
-    syms += [
-        FunSymbol("+", (i, i), i, THEORY),
-        FunSymbol("-", (i, i), i, THEORY),
-        FunSymbol("neg", (i,), i, THEORY),
-        FunSymbol("*", (i, i), i, THEORY),
-        FunSymbol("div", (i, i), i, THEORY),
-        FunSymbol("mod", (i, i), i, THEORY),
-        FunSymbol("<", (i, i), b, THEORY),
-        FunSymbol("<=", (i, i), b, THEORY),
-        FunSymbol(">", (i, i), b, THEORY),
-        FunSymbol(">=", (i, i), b, THEORY),
-    ]
-    interp.update({
-        "+": lambda x, y: (x + y) % n,
-        "-": lambda x, y: (x - y) % n,
-        "neg": lambda x: (-x) % n,
-        "*": lambda x, y: (x * y) % n,
-        "div": lambda x, y: euclidean_div(x, y) % n,
-        "mod": lambda x, y: euclidean_mod(x, y) % n,
-        "<": lambda x, y: x < y,
-        "<=": lambda x, y: x <= y,
-        ">": lambda x, y: x > y,
-        ">=": lambda x, y: x >= y,
-    })
-    return UnderlyingModel(
-        f"intmod {n}", [BOOL, INT], syms, interp,
-        {BOOL: Carrier((False, True)), INT: Carrier(tuple(range(n)))})
+    return _int_model(f"intmod {n}", lambda x: x % n, Carrier(tuple(range(n))))
 
 
 def builtin_model(name: str, arg: int | None = None) -> UnderlyingModel:
@@ -339,6 +320,29 @@ def sort_domain(model: UnderlyingModel, sort: Sort, box: int) -> list:
     return int_domain(box)
 
 
+def satisfying(
+    model: UnderlyingModel,
+    order: list[Variable],
+    domains: list,
+    phi: Term,
+    limit: int | None = None,
+) -> Iterator[tuple]:
+    """Tuples of carrier values over the product of domains (itertools.product
+    order, one domain per variable of order) under which phi holds.
+
+    At most limit points are tried.  phi is evaluated on the raw values with
+    eval_with; no term is built per point.  Domain elements must already be
+    carrier elements of their variables' sorts.
+    """
+    if vars_of(phi) - set(order):
+        raise EvalError("constraint mentions variables outside the enumeration set")
+    if sort_of(phi) != BOOL:
+        raise EvalError(f"constraint has sort {sort_of(phi).name}, expected Bool")
+    for combo in itertools.islice(itertools.product(*domains), limit):
+        if model.eval_with(phi, dict(zip(order, combo))):
+            yield combo
+
+
 def enumerate_satisfying(
     model: UnderlyingModel,
     xs: set[Variable] | frozenset[Variable],
@@ -351,16 +355,6 @@ def enumerate_satisfying(
     variable, closest to zero first.  Enumeration order is deterministic.
     """
     order = sorted(xs, key=lambda v: (v.name, v.sort.name))
-    if vars_of(phi) - set(order):
-        raise EvalError("constraint mentions variables outside the enumeration set")
     domains = [sort_domain(model, v.sort, box) for v in order]
-    for combo in itertools.product(*domains):
-        sigma = {v: model.value_term(v.sort, e) for v, e in zip(order, combo)}
-        if model.eval_constraint(apply_subst_ground(sigma, phi)):
-            yield sigma
-
-
-def apply_subst_ground(sigma: dict[Variable, Term], t: Term) -> Term:
-    from .terms import apply_subst
-
-    return apply_subst(sigma, t)
+    for combo in satisfying(model, order, domains, phi):
+        yield model.value_subst(order, combo)

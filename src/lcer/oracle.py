@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .models import BOOL, UnderlyingModel, int_domain
+from .models import BOOL, UnderlyingModel, int_domain, satisfying
 from .terms import (
     App,
     Term,
@@ -106,6 +106,14 @@ def _invalid(model: UnderlyingModel, phi: Term, sigma: dict[Variable, Term]) -> 
     return Verdict(INVALID, witness=dict(sigma))
 
 
+def _refute(model, phi, order, domains, limit=None) -> Optional[Verdict]:
+    """Invalid at the first point of the product where phi fails, else None."""
+    not_phi = App(model.symbols["not"], (phi,))
+    for combo in satisfying(model, order, domains, not_phi, limit):
+        return _invalid(model, phi, model.value_subst(order, combo))
+    return None
+
+
 def _exhaustive(model, phi, fv, budget) -> Verdict:
     domains = [model.carrier_elements(v.sort) for v in fv]
     count = 1
@@ -113,11 +121,7 @@ def _exhaustive(model, phi, fv, budget) -> Verdict:
         count *= len(d)
     if count > budget.max_finite:
         return unknown(f"finite enumeration of {count} valuations exceeds budget")
-    for combo in itertools.product(*domains):
-        sigma = {v: model.value_term(v.sort, e) for v, e in zip(fv, combo)}
-        if not model.eval_constraint(apply_subst(sigma, phi)):
-            return _invalid(model, phi, sigma)
-    return valid()
+    return _refute(model, phi, fv, domains) or valid()
 
 
 def _split_finite(model, phi, finite_vars, budget) -> Verdict:
@@ -129,7 +133,7 @@ def _split_finite(model, phi, finite_vars, budget) -> Verdict:
         return unknown("too many finite-sort cases to split on")
     saw_unknown = None
     for combo in itertools.product(*domains):
-        sigma = {v: model.value_term(v.sort, e) for v, e in zip(finite_vars, combo)}
+        sigma = model.value_subst(finite_vars, combo)
         sub = check_validity(model, apply_subst(sigma, phi), budget)
         if sub.is_invalid:
             full = dict(sigma)
@@ -453,11 +457,7 @@ def _univariate_decision(model, phi, x: Variable, budget) -> Optional[Verdict]:
         bounds = [0]
     lo, hi = min(bounds) - 1, max(bounds) + 1
     points = sorted(set(bounds) | {lo, hi}, key=lambda p: (abs(p), p < 0))
-    for v in points:
-        sigma = {x: model.value_term(x.sort, v)}
-        if not model.eval_constraint(apply_subst(sigma, phi)):
-            return _invalid(model, phi, sigma)
-    return valid()
+    return _refute(model, phi, [x], [points]) or valid()
 
 
 def _bounded_refutation(model, phi, int_vars, budget) -> Optional[Verdict]:
@@ -468,16 +468,7 @@ def _bounded_refutation(model, phi, int_vars, budget) -> Optional[Verdict]:
         if box < 2:
             box = 2
             break
-    domain = int_domain(box)
-    count = 0
-    for combo in itertools.product(domain, repeat=k):
-        count += 1
-        if count > budget.max_points:
-            return None
-        sigma = {v: model.value_term(v.sort, e) for v, e in zip(int_vars, combo)}
-        if not model.eval_constraint(apply_subst(sigma, phi)):
-            return _invalid(model, phi, sigma)
-    return None
+    return _refute(model, phi, int_vars, [int_domain(box)] * k, budget.max_points)
 
 
 def _integer_pipeline(model, phi, int_vars, budget) -> Verdict:
@@ -485,8 +476,7 @@ def _integer_pipeline(model, phi, int_vars, budget) -> Verdict:
     if f == TRUE:
         return valid()
     if f == FALSE:
-        zero = {v: model.value_term(v.sort, 0) for v in int_vars}
-        return _invalid(model, phi, zero)
+        return _invalid(model, phi, model.value_subst(int_vars, (0,) * len(int_vars)))
 
     prop = _propagate_equalities(model, phi, budget)
     if prop is not None:

@@ -358,9 +358,12 @@ def term_text(t: Term) -> str:
 
 def ce_text(ce: ConstrainedEquation, keyword: str = "eq", name: str | None = None) -> str:
     xs = sorted(ce.logical_vars, key=lambda v: v.name)
+    # every variable gets its sort, so a bare variable side re-parses
+    all_vars = sorted(vars_of(ce.lhs) | vars_of(ce.rhs) | ce.logical_vars,
+                      key=lambda v: v.name)
     var_block = ""
-    if xs:
-        var_block = " (vars " + " ".join(f"({v.name} {v.sort.name})" for v in xs) + ")"
+    if all_vars:
+        var_block = " (vars " + " ".join(f"({v.name} {v.sort.name})" for v in all_vars) + ")"
     pi = " ".join(v.name for v in xs)
     label = f" {name}" if name else ""
     return (f"({keyword}{label}{var_block} (pi {pi}) "

@@ -153,17 +153,6 @@ def vars_of(t: Term, kind: str | None = None) -> set[Variable]:
     return out
 
 
-def symbols_of(t: Term) -> set[FunSymbol]:
-    out: set[FunSymbol] = set()
-    stack: list[Term] = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, App):
-            out.add(u.fun)
-            stack.extend(u.args)
-    return out
-
-
 def subterms_of(t: Term) -> Iterator[Term]:
     stack: list[Term] = [t]
     while stack:
@@ -224,20 +213,6 @@ def apply_subst(subst: Subst, t: Term) -> Term:
     if args == t.args:
         return t
     return App(t.fun, args)
-
-
-def validate_subst(subst: Subst) -> None:
-    for x, u in subst.items():
-        if sort_of(u) != x.sort:
-            raise SortMismatch(f"{x.name} ↦ {u!r} does not preserve its sort")
-
-
-def compose_subst(outer: Subst, inner: Subst) -> dict[Variable, Term]:
-    """outer after inner: x maps to outer(inner(x))."""
-    out = {x: apply_subst(outer, u) for x, u in inner.items()}
-    for x, u in outer.items():
-        out.setdefault(x, u)
-    return {x: u for x, u in out.items() if u != x}
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[Variable, Term]]:

@@ -14,6 +14,8 @@ from lcer.algebra import (
     search_counter_model,
 )
 from lcer.equations import CETheory, replay_trace
+from lcer.models import EvalError
+from lcer.sexpr import ParseError
 from lcer.syntax import parse_goal_spec, parse_term, parse_theory
 from lcer.terms import Variable
 from tests.conftest import load_fixture
@@ -54,6 +56,29 @@ def test_not_a_model_reports_valuation(refute_bool):
     alg = parse_algebra(refute_bool.theory, text)
     res = check_is_model(alg)
     assert not res.ok and res.eq_index == 0
+
+
+def test_model_check_budget_counts_every_valuation(refute_bool, boolcm):
+    # 2 + 2 valuations of the logical x, then 3 of the unconstrained x in (g x)
+    assert check_is_model(boolcm, max_valuations=7).ok
+    with pytest.raises(AlgebraError, match="valuation budget"):
+        check_is_model(boolcm, max_valuations=6)
+    bad = parse_algebra(refute_bool.theory, """(algebra (carrier Bool true false)
+      (table f ((true) false) ((false) true)) (table g ((true) true) ((false) true)))""")
+    assert check_is_model(bad, max_valuations=1).eq_index == 0
+
+
+def test_boolean_is_not_an_integer_element():
+    tf = parse_theory("(theory (model intmod 3) (sorts U) (fun f (Int) U)"
+                      " (eq (pi x) (constraint true) (f x) (f 0)))")
+    text = ("(algebra (carrier Int 0 1 2) (carrier Bool true false) (carrier U #u0)"
+            " (table f ((true) #u0) ((0) #u0) ((2) #u0)))")
+    with pytest.raises(ParseError, match="not in the carrier of Int"):
+        parse_algebra(tf.theory, text)
+    model = tf.theory.model
+    assert not model.element_in_carrier(model.sorts["Int"], True)
+    with pytest.raises(EvalError):
+        model.value_symbol(model.sorts["Int"], True)
 
 
 def test_check_refutes(refute_bool, boolcm):

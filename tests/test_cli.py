@@ -126,6 +126,25 @@ def test_rewrite(capsys):
     assert "(cong 14)" in doc["successors"]
 
 
+def test_deep_term_is_an_input_error(capsys, tmp_path):
+    theory = tmp_path / "nat.th"
+    theory.write_text("(theory (model bool) (sorts N) (fun z () N) (fun s (N) N))")
+    deep = "(s " * 3000 + "z" + ")" * 3000
+    code, doc = run_json(capsys, "rewrite", str(theory), "-t", deep)
+    assert code == 3 and doc["verdict"] == "input-error"
+
+
+def test_algebra_with_a_wrongly_sorted_element_is_an_input_error(capsys, tmp_path):
+    theory = tmp_path / "u.th"
+    theory.write_text("(theory (model intmod 3) (sorts U) (fun f (Int) U)"
+                      " (eq (pi x) (constraint true) (f x) (f 0)))")
+    alg = tmp_path / "u.alg"
+    alg.write_text("(algebra (carrier Int 0 1 2) (carrier Bool true false) (carrier U #u0)"
+                   " (table f ((true) #u0) ((0) #u0) ((2) #u0)))")
+    code, doc = run_json(capsys, "model-check", str(theory), "-a", str(alg))
+    assert code == 3 and doc["verdict"] == "input-error"
+
+
 def test_exit_codes_are_total(capsys):
     # the verdict-to-exit-code mapping, exercised end to end
     table = [

@@ -21,7 +21,9 @@ def test_fixture_theories_parse(lists, group):
 
 
 def test_theory_round_trip(mod12, group, lists, absmax, nneg):
-    for tf in (mod12, group, lists, absmax, nneg):
+    bare_side = parse_theory("""(theory (model bool) (sorts U) (fun k (U) U)
+      (eq (vars (u U)) (pi) (constraint true) u (k u)))""")
+    for tf in (mod12, group, lists, absmax, nneg, bare_side):
         text = theory_text(tf)
         again = parse_theory(text)
         assert again.theory.equations == tf.theory.equations
