@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .equations import (
@@ -23,13 +23,13 @@ from .equations import (
     ConversionTrace,
     SearchLimits,
     TraceStep,
-    calc_trace,
+    calc_normal_pool,
     default_value_pool,
-    rule_step_candidates,
+    macro_steps,
     term_candidate_pool,
     term_key,
 )
-from .models import UnderlyingModel, has_element, satisfying
+from .models import BOOL, INT, UnderlyingModel, has_element, satisfying
 from .sexpr import Atom, ParseError, expect_atom, expect_list, head, parse_sexprs
 from .terms import (
     TERM,
@@ -38,7 +38,6 @@ from .terms import (
     Sort,
     Term,
     Variable,
-    subterm_at,
     subterms_of,
     vars_of,
 )
@@ -91,7 +90,7 @@ class FiniteCEAlgebra:
                 if combo not in table:
                     raise AlgebraError(
                         f"table for {f.name} is missing entry {tuple(map(str, combo))}")
-                if table[combo] not in self.carriers[f.result_sort]:
+                if not has_element(self.carriers[f.result_sort], table[combo]):
                     raise AlgebraError(f"table for {f.name} leaves the carrier")
 
     def eval(self, t: Term, rho: dict[Variable, object]) -> object:
@@ -433,6 +432,9 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
             probes.setdefault(term_key(t), t)
     seeds = [t for eq in theory.equations for t in (eq.lhs, eq.rhs)]
     term_pool = term_candidate_pool(seeds)
+    pool_normal = calc_normal_pool(model, term_pool)
+    # an explicit value pool draws from the pool alone, never from a box
+    limits = replace(limits, solve_box=None)
 
     for key in sorted(probes):
         start = probes[key]
@@ -441,15 +443,11 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
         for _ in range(depth):
             nxt = []
             for u in frontier:
-                for cand in rule_step_candidates(
-                        theory, u, value_pool=pool, term_pool=term_pool,
-                        cap_per_redex=limits.cap_per_redex):
-                    raw = cand.result
-                    step = cand.as_step(subterm_at(u, cand.position))
-                    nf, calc_steps = calc_trace(model, raw)
+                for nf, steps in macro_steps(theory, u, pool, term_pool, limits,
+                                             None, pool_normal):
                     if nf in traces:
                         continue
-                    traces[nf] = traces[u] + (step, *calc_steps)
+                    traces[nf] = traces[u] + steps
                     if model.is_value_term(nf) and nf != start:
                         return ConsistencyReport(False, depth, start, nf, traces[nf])
                     nxt.append(nf)
@@ -467,16 +465,21 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
 
 # -- algebra files ---------------------------------------------------------------
 
-def _parse_element(model: UnderlyingModel, sort: Sort, atom: Atom) -> object:
+def _parse_element(sort: Sort, atom: Atom) -> object:
+    """An element of sort: a fresh atom (leading '#'), or for Bool true or
+    false, or for Int an integer."""
     text = atom.text
     if text.startswith("#"):
         return text
-    if text in ("true", "false"):
+    if sort == BOOL and text in ("true", "false"):
         return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad carrier element {text}", atom.line, atom.col)
+    if sort == INT:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ParseError(f"element {text} is not in the carrier of {sort.name}",
+                     atom.line, atom.col)
 
 
 def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
@@ -497,9 +500,9 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
             sort = theory.signature.sort(sname)
             if sort is None:
                 raise ParseError(f"unknown sort {sname}", node.line, node.col)
-            elems = tuple(_parse_element(model, sort, expect_atom(e, "an element"))
+            elems = tuple(_parse_element(sort, expect_atom(e, "an element"))
                           for e in node.items[2:])
-            if len(set(elems)) != len(elems):
+            if len({(type(e), e) for e in elems}) != len(elems):
                 raise ParseError("duplicate carrier element", node.line, node.col)
             carriers[sort] = elems
         elif h == "table":
@@ -523,9 +526,9 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
                 raise ParseError(f"{sym.name} takes {sym.arity} arguments",
                                  entry.line, entry.col)
             args = tuple(
-                _parse_element(model, s, expect_atom(a, "an element"))
+                _parse_element(s, expect_atom(a, "an element"))
                 for s, a in zip(sym.arg_sorts, args_node.items))
-            result = _parse_element(model, sym.result_sort,
+            result = _parse_element(sym.result_sort,
                                     expect_atom(entry.items[1], "an element"))
             for s, e in zip(sym.arg_sorts + (sym.result_sort,), args + (result,)):
                 if not has_element(carriers.get(s, ()), e):

@@ -5,6 +5,13 @@ substitution that sends every declared logical variable to a value and makes
 the instantiated constraint evaluate to true.  Conversion search works modulo
 calculation: every term is kept calc-normalized, and reverse calculation steps
 are recovered only in traces (never enumerated during search).
+
+One frontier expander, `macro_steps`, serves every search here and the
+consistency check in `algebra`.  It expands a calc-normal term only: after a
+rule step at position p, only the new subterm and the ancestors of p can hold
+a calculation redex, so only they are normalized.  Rule-step candidates are
+lazy, and a candidate whose result is calc-normal has a size known before
+anything is built, so the size cap drops it before it costs a term.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .models import UnderlyingModel, enumerate_satisfying, satisfying
 from .terms import (
@@ -75,6 +82,42 @@ class ConstrainedEquation:
         return f"<{xs}> {self.lhs!r} ~ {self.rhs!r} [{self.constraint!r}]"
 
 
+class _Side(NamedTuple):
+    """What rule steps with one equation in one direction share: src is
+    matched, dst is instantiated."""
+
+    src: Term
+    dst: Term
+    checked_logical: tuple[Variable, ...]  # logical variables of src: must match values
+    logical_extras: tuple[Variable, ...]  # logical variables not in src, by name
+    term_extras: tuple[Variable, ...]  # other variables of dst not in src, by name
+    occurrences: tuple[tuple[Variable, int], ...]  # variables of dst, with their counts
+    plain: bool  # dst is no value and has no non-value theory operator
+    trivial: bool  # the constraint is literally true
+
+    @classmethod
+    def of(cls, eq: ConstrainedEquation, src: Term, dst: Term) -> "_Side":
+        in_src = vars_of(src)
+        counts: dict[Variable, int] = {}
+        plain = not (isinstance(dst, App) and dst.fun.is_value)
+        for u in subterms_of(dst):
+            if isinstance(u, Variable):
+                counts[u] = counts.get(u, 0) + 1
+            elif u.fun.kind == THEORY and not u.fun.is_value:
+                plain = False
+        constraint = eq.constraint
+        return cls(
+            src, dst,
+            tuple(x for x in eq.logical_vars if x in in_src),
+            tuple(sorted(eq.logical_vars - in_src, key=lambda v: v.name)),
+            tuple(sorted(counts.keys() - in_src - eq.logical_vars, key=lambda v: v.name)),
+            tuple(counts.items()),
+            plain,
+            isinstance(constraint, App) and constraint.fun.is_value
+            and constraint.fun.value is True,
+        )
+
+
 @dataclass
 class CETheory:
     signature: Signature
@@ -83,6 +126,7 @@ class CETheory:
 
     def __post_init__(self) -> None:
         self._root_index: dict[tuple[str, int, str], list[int]] = {}
+        self._sides: dict[tuple[int, str], _Side] = {}
         for i, eq in enumerate(self.equations):
             for direction, side in (("lr", eq.lhs), ("rl", eq.rhs)):
                 if isinstance(side, App):
@@ -90,6 +134,8 @@ class CETheory:
                 else:
                     key = (side.sort.name, 1, direction)
                 self._root_index.setdefault(key, []).append(i)
+                dst = eq.rhs if direction == "lr" else eq.lhs
+                self._sides[i, direction] = _Side.of(eq, side, dst)
 
     def sides_matching(self, t: Term) -> Iterable[tuple[int, str]]:
         """Equation indices/directions whose pattern root can match t."""
@@ -224,17 +270,60 @@ def term_candidate_pool(goal_terms: Iterable[Term], seeds: Iterable[Term] = ()) 
             for s, d in seen.items()}
 
 
-@dataclass(frozen=True)
 class RuleCandidate:
-    position: Position
-    eq_index: int
-    direction: str
-    subst: tuple[tuple[Variable, Term], ...]
-    result: Term
+    """One rule step on `term`: equation eq_index applied in direction at
+    position, where `redex` sits, under `sigma` (the match of the equation's
+    source side extended by the drawn instantiation).
 
-    def as_step(self, before: Term) -> TraceStep:
+    A candidate is lazy: it keeps only the substitution.  The replacement
+    (the instantiated destination side), the result (`term` with the
+    replacement at position, not calc-normalized) and `subst` are built when
+    they are read, so a candidate that is dropped costs no term.
+    """
+
+    __slots__ = ("term", "position", "redex", "eq_index", "direction", "side",
+                 "sigma", "_replacement", "_result")
+
+    def __init__(self, term: Term, position: Position, redex: Term, eq_index: int,
+                 direction: str, side: _Side, sigma: dict[Variable, Term]) -> None:
+        self.term = term
+        self.position = position
+        self.redex = redex
+        self.eq_index = eq_index
+        self.direction = direction
+        self.side = side
+        self.sigma = sigma
+        self._replacement: Optional[Term] = None
+        self._result: Optional[Term] = None
+
+    @property
+    def subst(self) -> tuple[tuple[Variable, Term], ...]:
+        """The non-trivial bindings, sorted by variable name."""
+        return tuple(sorted(((x, u) for x, u in self.sigma.items() if u != x),
+                            key=lambda kv: kv[0].name))
+
+    @property
+    def replacement(self) -> Term:
+        if self._replacement is None:
+            self._replacement = apply_subst(self.sigma, self.side.dst)
+        return self._replacement
+
+    @property
+    def result(self) -> Term:
+        if self._result is None:
+            self._result = replace_at(self.term, self.position, self.replacement)
+        return self._result
+
+    @property
+    def size(self) -> int:
+        """The size of `result`, computed without building it."""
+        side, sigma = self.side, self.sigma
+        return (self.term.size - self.redex.size + side.dst.size
+                + sum(n * (sigma[x].size - 1) for x, n in side.occurrences))
+
+    def as_step(self) -> TraceStep:
         return TraceStep(self.position, "rule", self.direction, self.eq_index,
-                         self.subst, before, subterm_at(self.result, self.position))
+                         self.subst, self.redex, self.replacement)
 
 
 def _extra_assignments(
@@ -278,7 +367,9 @@ def rule_step_candidates(
     solve_box: int | None | str = "auto",
     cap_per_redex: int = 256,
 ) -> list[RuleCandidate]:
-    """All one-step rule successors of t (either direction).
+    """All one-step rule successors of t (either direction), as lazy
+    RuleCandidates ordered by position (pre-order), then equation index and
+    direction, then instantiation.
 
     Unbound logical variables are instantiated from constraint solutions over
     the box and from the value pool; unbound term variables come from the term
@@ -293,47 +384,38 @@ def rule_step_candidates(
     if term_pool is None:
         term_pool = term_candidate_pool([t])
     out: list[RuleCandidate] = []
-    for pos, sub in sorted(positions_of(t), key=lambda ps: ps[0]):
+    for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
         for eq_index, direction in sorted(theory.sides_matching(sub)):
             eq = theory.equations[eq_index]
-            src, dst = (eq.lhs, eq.rhs) if direction == "lr" else (eq.rhs, eq.lhs)
-            if sort_of(src) != sort_of(sub):
+            side = theory._sides[eq_index, direction]
+            if sort_of(side.src) != sort_of(sub):
                 continue
-            base = match(src, sub)
+            base = match(side.src, sub)
             if base is None:
                 continue
             # logical variables bound by matching must already be values
-            if any(x in base and not model.is_value_term(base[x])
-                   for x in eq.logical_vars):
+            if any(not model.is_value_term(base[x]) for x in side.checked_logical):
                 continue
-            logical_extras = sorted(
-                (x for x in eq.logical_vars if x not in base), key=lambda v: v.name)
-            term_extras = sorted(
-                (x for x in vars_of(dst) - set(base) - eq.logical_vars),
-                key=lambda v: v.name)
-            phi0 = apply_subst(base, eq.constraint)
-            assigns = _extra_assignments(
-                model, logical_extras, phi0, value_pool, solve_box, cap_per_redex)
+            if side.trivial and not side.logical_extras:
+                assigns: list[dict[Variable, Term]] = [{}]
+            else:
+                assigns = _extra_assignments(
+                    model, list(side.logical_extras), apply_subst(base, eq.constraint),
+                    value_pool, solve_box, cap_per_redex)
             term_domains = []
-            ok = True
-            for x in term_extras:
+            for x in side.term_extras:
                 cands = term_pool.get(x.sort, ())
                 if not cands:
-                    ok = False
                     break
                 term_domains.append(cands)
-            if not ok:
-                continue
-            for logical_sigma in assigns:
-                for term_combo in itertools.product(*term_domains):
-                    sigma = dict(base)
-                    sigma.update(logical_sigma)
-                    sigma.update(zip(term_extras, term_combo))
-                    result = replace_at(t, pos, apply_subst(sigma, dst))
-                    frozen = tuple(sorted(
-                        ((x, u) for x, u in sigma.items() if u != x),
-                        key=lambda kv: kv[0].name))
-                    out.append(RuleCandidate(pos, eq_index, direction, frozen, result))
+            else:
+                for logical_sigma in assigns:
+                    for term_combo in itertools.product(*term_domains):
+                        sigma = dict(base)
+                        sigma.update(logical_sigma)
+                        sigma.update(zip(side.term_extras, term_combo))
+                        out.append(RuleCandidate(t, pos, sub, eq_index, direction,
+                                                 side, sigma))
     return out
 
 
@@ -348,23 +430,92 @@ class SearchLimits:
     cap_per_redex: int = 64
 
 
-def _successors(theory, u, value_pool, term_pool, limits, calc_only, size_cap):
-    """Macro edges: one rule step followed by calc normalization."""
-    if calc_only:
-        return []
+def calc_normal_pool(model: UnderlyingModel, term_pool: dict[Sort, tuple[Term, ...]]) -> bool:
+    """Whether every term of the pool is calc-normal; `macro_steps` needs to
+    know, and it holds unless a seed term is not calc-normal."""
+    return not any(model.is_calc_redex(u) for terms in term_pool.values()
+                   for t in terms for u in subterms_of(t))
+
+
+def _normalize_spine(model: UnderlyingModel, u: Term, pos: Position,
+                     replacement: Term) -> tuple[Term, list[TraceStep]]:
+    """calc_trace of u with replacement put at pos, for a calc-normal u.
+
+    Only the replacement and the ancestors of pos can hold a redex: the
+    replacement is normalized first, then each ancestor, bottom-up, is
+    contracted if it has become a redex.  This is the innermost-leftmost
+    sequence that calc_trace takes on the whole term.
+    """
+    nf, raw = model.calc_normalize_steps(replacement)
+    steps = [TraceStep(pos + p, "calc", "lr", None, (), redex, value)
+             for p, redex, value in raw]
+    ancestors = []
+    node = u
+    for i in pos:
+        ancestors.append(node)
+        node = node.args[i - 1]  # type: ignore[union-attr]
+    v = nf
+    for depth in range(len(pos) - 1, -1, -1):
+        parent = ancestors[depth]
+        i = pos[depth] - 1
+        v = App(parent.fun, parent.args[:i] + (v,) + parent.args[i + 1:])
+        if model.is_calc_redex(v):
+            value = model.interpret_term(v)
+            steps.append(TraceStep(pos[:depth], "calc", "lr", None, (), v, value))
+            v = value
+    return v, steps
+
+
+def macro_steps(
+    theory: CETheory,
+    u: Term,
+    value_pool: dict[Sort, tuple],
+    term_pool: dict[Sort, tuple[Term, ...]],
+    limits: SearchLimits,
+    size_cap: Optional[int],
+    pool_normal: bool,
+) -> Iterator[tuple[Term, tuple[TraceStep, ...]]]:
+    """The frontier expander: macro edges out of u (one rule step, then calc
+    normalization), as (v, steps) in rule_step_candidates order, without
+    v == u and without any v larger than size_cap (None: no cap).
+
+    u must be calc-normal.  pool_normal says whether every term of term_pool
+    is (see calc_normal_pool).  When the instantiated side of a candidate is
+    calc-normal and not a value (its side is plain and every binding is
+    calc-normal), the result is calc-normal too and its size is known before
+    it is built; over-cap candidates are then dropped unbuilt.  Otherwise only
+    the rewritten spine is normalized.
+    """
     model = theory.model
-    edges = []
     for cand in rule_step_candidates(
             theory, u, value_pool=value_pool, term_pool=term_pool,
             solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex):
-        raw = cand.result
-        step = cand.as_step(subterm_at(u, cand.position))
-        v, calc_steps = calc_trace(model, raw)
-        if v == u:
-            continue
-        if size_cap is not None and v.size > size_cap:
-            continue
-        edges.append((v, (step, *calc_steps)))
+        side = cand.side
+        dst = side.dst
+        if (side.plain and (pool_normal or not side.term_extras)
+                and not (isinstance(dst, Variable)
+                         and model.is_value_term(cand.sigma[dst]))):
+            if size_cap is not None and cand.size > size_cap:
+                continue
+            v = cand.result
+            steps: tuple[TraceStep, ...] = (cand.as_step(),)
+        else:
+            v, calc_steps = _normalize_spine(model, u, cand.position, cand.replacement)
+            if size_cap is not None and v.size > size_cap:
+                continue
+            steps = (cand.as_step(), *calc_steps)
+        if v != u:
+            yield v, steps
+
+
+def _successors(theory, u, value_pool, term_pool, limits, calc_only, size_cap,
+                pool_normal):
+    """The macro edges of the calc-normal u within size_cap (see macro_steps),
+    shortest first, then smallest, then by term_key."""
+    if calc_only:
+        return []
+    edges = list(macro_steps(theory, u, value_pool, term_pool, limits, size_cap,
+                             pool_normal))
     edges.sort(key=lambda e: (len(e[1]), e[0].size, term_key(e[0])))
     return edges
 
@@ -407,6 +558,7 @@ def conversion_search(
     budget = limits.bound - fixed
 
     term_pool = term_candidate_pool([s0, t0], seed_terms)
+    pool_normal = calc_normal_pool(model, term_pool)
     size_cap = max(s0.size, t0.size) + limits.max_term_growth
 
     # dist[side][term] = (cost, parent, edge_steps); the frontier is ordered by
@@ -455,7 +607,7 @@ def conversion_search(
         # the first meet under this deterministic expansion order is the
         # result; within one expansion the best of its meets wins
         for v, steps in _successors(theory, u, value_pool, term_pool, limits,
-                                    calc_only, size_cap):
+                                    calc_only, size_cap, pool_normal):
             c2 = cost + len(steps)
             if c2 > budget:
                 continue
@@ -509,6 +661,7 @@ def reachable_terms(
         limits = SearchLimits(limits.bound, limits.max_term_growth,
                               limits.max_nodes, None, limits.cap_per_redex)
     term_pool = term_candidate_pool([start], seed_terms)
+    pool_normal = calc_normal_pool(model, term_pool)
     s0, prefix = calc_trace(model, start)
     size_cap = s0.size + limits.max_term_growth
     out: dict[Term, ConversionTrace] = {s0: tuple(prefix)}
@@ -517,7 +670,7 @@ def reachable_terms(
         nxt = []
         for u in frontier:
             for v, steps in _successors(theory, u, value_pool, term_pool,
-                                        limits, False, size_cap):
+                                        limits, False, size_cap, pool_normal):
                 if v not in out:
                     out[v] = out[u] + steps
                     nxt.append(v)

@@ -2,6 +2,7 @@ import pytest
 
 from lcer.algebra import (
     AlgebraError,
+    FiniteCEAlgebra,
     FiniteCongruence,
     NotACongruence,
     algebra_text,
@@ -79,6 +80,48 @@ def test_boolean_is_not_an_integer_element():
     assert not model.element_in_carrier(model.sorts["Int"], True)
     with pytest.raises(EvalError):
         model.value_symbol(model.sorts["Int"], True)
+
+
+UNARY_U = "(theory (model bool) (sorts U) (fun c () U) (fun k (U) U))"
+
+
+@pytest.mark.parametrize("carriers, table, where", [
+    ("(carrier Bool true false) (carrier U 1 #u)", "", "U"),
+    ("(carrier Bool true false) (carrier U true #u)", "", "U"),
+    ("(carrier Bool true false) (carrier U 1 true)", "", "U"),
+    ("(carrier Bool true false 1) (carrier U #u)", "", "Bool"),
+    ("(carrier Bool true false) (carrier U #u)", "(table k ((1) #u))", "U"),
+    ("(carrier Bool true false) (carrier U #u)", "(table c (() false))", "U"),
+], ids=["int-in-U", "bool-in-U", "int-and-bool-in-U", "int-in-Bool", "int-argument",
+        "bool-result"])
+def test_carrier_elements_follow_their_sort(carriers, table, where):
+    # a term sort has only fresh atoms, Bool only true, false and fresh atoms
+    theory = parse_theory(UNARY_U).theory
+    with pytest.raises(ParseError, match=f"is not in the carrier of {where}$"):
+        parse_algebra(theory, f"(algebra {carriers} {table})")
+
+
+def test_carrier_duplicates_compare_type_and_value():
+    theory = parse_theory(UNARY_U).theory
+    with pytest.raises(ParseError, match="duplicate carrier element"):
+        parse_algebra(theory, "(algebra (carrier Bool true false) (carrier U #u #u))")
+    alg = parse_algebra(theory, """(algebra (carrier Bool true false) (carrier U #u #v)
+      (table c (() #u)) (table k ((#u) #v) ((#v) #u)))""")
+    assert alg.carriers[theory.signature.sort("U")] == ("#u", "#v")
+    assert alg.tables["k"] == {("#u",): "#v", ("#v",): "#u"}
+
+
+def test_validate_compares_table_results_by_type():
+    tf = parse_theory("(theory (model intmod 2) (sorts U) (fun c () U) (fun h (U) Int))")
+    sorts = tf.theory.model.sorts
+    carriers = {sorts["Bool"]: (False, True), sorts["Int"]: (0, 1),
+                tf.theory.signature.sort("U"): ("#u",)}
+    ok = FiniteCEAlgebra(tf.theory, carriers, {"c": {(): "#u"}, "h": {("#u",): 1}})
+    ok.validate()
+    # True == 1 in Python, but the boolean true is no element of Int
+    bad = FiniteCEAlgebra(tf.theory, carriers, {"c": {(): "#u"}, "h": {("#u",): True}})
+    with pytest.raises(AlgebraError, match="leaves the carrier"):
+        bad.validate()
 
 
 def test_check_refutes(refute_bool, boolcm):

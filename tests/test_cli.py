@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 
 from lcer.cli import main
 from tests.conftest import FIXTURES
@@ -248,3 +249,47 @@ def test_solver_failure_exit_code(capsys, tmp_path):
 def test_seed_echoed_in_json(capsys):
     code, doc = run_json(capsys, "parse", fx("mod12.th"), "--seed", "7")
     assert doc["seed"] == 7
+
+
+# The README commands with their output recorded before the frontier expander
+# became lazy; a change of tie-break order in search shows up here.
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+README_COMMANDS = {
+    "convert_mod12": ["convert", "mod12.th", "-l", "cong(+(7,31))", "-r", "cong(14)",
+                      "--bound", "3"],
+    "convert_expinv": ["convert", "group.th", "-g", "expinv", "--bound", "12"],
+    "validate_maxcomm": ["validate", "absmax.th", "-g", "maxcomm", "--bound", "8",
+                         "--box", "5"],
+    "check_expinv": ["check", "group.th", "-p", "expinv.prf"],
+    "prove_nneg5": ["prove", "nneg.th", "-l", "nneg(5)", "-r", "true", "--bound", "10",
+                    "-o", "{out}"],
+    "consistent_inconsistent": ["consistent", "inconsistent.th", "--depth", "2"],
+    "refute_gf": ["refute", "refute_bool.th", "-g", "gf", "--extra", "1"],
+    "model_check_gf": ["model-check", "refute_bool.th", "-a", "boolcm.alg", "-g", "gf"],
+    "rewrite_mod12": ["rewrite", "mod12.th", "-t", "cong(+(7,31))", "--pool", "0,1,2,14",
+                      "--steps", "2"],
+    "parse_lists": ["parse", "lists.th"],
+}
+
+
+def _golden(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_command_output_is_unchanged(capsys, tmp_path, name):
+    out_file = tmp_path / "out.prf"
+    argv = [fx(a) if a.endswith((".th", ".prf", ".alg")) else a
+            for a in README_COMMANDS[name]]
+    argv = [str(out_file) if a == "{out}" else a for a in argv]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert out == _golden(name + ".json")
+    assert json.loads(out)["exit_code"] == code
+    if out_file.exists():
+        assert out_file.read_text(encoding="utf-8").rstrip("\n") == json.loads(out)["proof"]
+
+
+def test_consistent_text_output_is_unchanged(capsys):
+    code, out = run(capsys, "consistent", fx("inconsistent.th"), "--depth", "2")
+    assert code == 1 and out == _golden("consistent_inconsistent.txt")

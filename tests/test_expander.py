@@ -1,0 +1,225 @@
+"""The frontier expander against a reference that builds every rule step in
+full, normalizes the whole result with calc_trace and then filters by size.
+
+The expander (equations.macro_steps, sorted by equations._successors) prunes
+by size before building and normalizes only the rewritten spine; it must give
+the same edges, with the same traces, in the same order.
+"""
+
+import random
+
+import pytest
+
+from lcer.equations import (
+    SearchLimits,
+    TraceStep,
+    _successors,
+    calc_normal_pool,
+    calc_trace,
+    default_value_pool,
+    replay_trace,
+    rule_step_candidates,
+    term_candidate_pool,
+    term_key,
+)
+from lcer.syntax import parse_term
+from lcer.terms import (
+    THEORY,
+    App,
+    Variable,
+    apply_subst,
+    replace_at,
+    sort_of,
+    subterm_at,
+    vars_of,
+)
+
+
+def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
+    model = theory.model
+    edges = []
+    for cand in rule_step_candidates(
+            theory, u, value_pool=value_pool, term_pool=term_pool,
+            solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex):
+        eq = theory.equations[cand.eq_index]
+        dst = eq.rhs if cand.direction == "lr" else eq.lhs
+        replacement = apply_subst(dict(cand.subst), dst)
+        raw = replace_at(u, cand.position, replacement)
+        step = TraceStep(cand.position, "rule", cand.direction, cand.eq_index,
+                         cand.subst, subterm_at(u, cand.position), replacement)
+        v, calc_steps = calc_trace(model, raw)
+        if v == u or (size_cap is not None and v.size > size_cap):
+            continue
+        edges.append((v, (step, *calc_steps)))
+    edges.sort(key=lambda e: (len(e[1]), e[0].size, term_key(e[0])))
+    return edges
+
+
+def expand(theory, u, value_pool, term_pool, limits, size_cap):
+    return _successors(theory, u, value_pool, term_pool, limits, False, size_cap,
+                       calc_normal_pool(theory.model, term_pool))
+
+
+def random_term(theory, rng, sort, depth, variables):
+    model = theory.model
+    symbols = [f for f in theory.signature.symbols if f.result_sort == sort]
+    symbols += [f for f in model.symbols.values() if f.result_sort == sort]
+    leaves = [v for v in variables if v.sort == sort]
+    if sort.kind == THEORY:
+        if sort.name == "Int":
+            leaves += [model.value_term(sort, rng.randint(-3, 13)) for _ in range(2)]
+        else:
+            leaves += [model.value_term(sort, rng.random() < 0.5)]
+    leaves += [App(f) for f in symbols if not f.arg_sorts]
+    inner = [f for f in symbols if f.arg_sorts]
+    if depth == 0 or not inner or (leaves and rng.random() < 0.3):
+        if leaves:
+            return rng.choice(leaves)
+        depth = max(depth, 1)
+    f = rng.choice(inner)
+    return App(f, tuple(random_term(theory, rng, s, depth - 1, variables)
+                        for s in f.arg_sorts))
+
+
+def random_redex_term(theory, rng, variables):
+    """An instance of a random equation side, in a random context of up to
+    two symbols: a term that some rule step applies to."""
+    model = theory.model
+    eq = rng.choice(theory.equations)
+    side = rng.choice([eq.lhs, eq.rhs])
+    sigma = {}
+    for x in vars_of(side):
+        if x in eq.logical_vars:
+            sigma[x] = random_term(theory, rng, x.sort, 0, [])
+        else:
+            sigma[x] = random_term(theory, rng, x.sort, rng.randint(0, 2), variables)
+    t = apply_subst(sigma, side)
+    symbols = list(theory.signature.symbols) + list(model.symbols.values())
+    for _ in range(rng.randint(0, 2)):
+        outer = [f for f in symbols if sort_of(t) in f.arg_sorts]
+        if not outer:
+            break
+        f = rng.choice(outer)
+        hole = rng.choice([i for i, s in enumerate(f.arg_sorts) if s == sort_of(t)])
+        t = App(f, tuple(t if i == hole else random_term(theory, rng, s, 1, variables)
+                         for i, s in enumerate(f.arg_sorts)))
+    return model.calc_normalize(t)
+
+
+def variables_for(theory):
+    out = []
+    for sort in list(theory.signature.sorts) + list(theory.model.sorts.values()):
+        out += [Variable("x", sort), Variable("y", sort)] if sort.kind != THEORY \
+            else [Variable("n", sort)]
+    return out
+
+
+def _assert_same(theory, u, value_pool, term_pool, limits, caps):
+    for cap in caps:
+        got = expand(theory, u, value_pool, term_pool, limits, cap)
+        want = reference_successors(theory, u, value_pool, term_pool, limits, cap)
+        assert got == want, (u, cap)
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("group", 1), ("group", 2), ("lists", 3), ("lists", 4), ("mod12", 5), ("mod12", 6)])
+def test_random_calc_normal_terms(request, name, seed):
+    theory = request.getfixturevalue(name).theory
+    model = theory.model
+    rng = random.Random(seed)
+    variables = variables_for(theory)
+    checked = edges = with_calc = 0
+    while checked < 60:
+        u = random_redex_term(theory, rng, variables)
+        if u.size > 12:
+            continue
+        limits = SearchLimits(solve_box=rng.choice([None, 4]), cap_per_redex=8)
+        value_pool = default_value_pool(theory, [u])
+        term_pool = term_candidate_pool([u])
+        uncapped = reference_successors(theory, u, value_pool, term_pool, limits, None)
+        sizes = sorted({v.size for v, _ in uncapped})
+        # caps exactly at a result's size, just below it, and none at all
+        caps = [None, u.size] + sizes[:3] + [s - 1 for s in sizes[-2:]]
+        _assert_same(theory, u, value_pool, term_pool, limits, caps)
+        edges += len(uncapped)
+        with_calc += sum(len(steps) > 1 for _, steps in uncapped)
+        checked += 1
+    # the sample reaches rule steps, and calculation after them where the
+    # theory has an equation side with a theory operator
+    assert edges > 60
+    assert with_calc > 0 or name == "mod12"
+
+
+def test_value_under_a_theory_operator_is_contracted(lists):
+    # length(nil) -> 0 puts a value under +, which then calculates to 1
+    theory = lists.theory
+    u = parse_term(theory, "+(length(nil), 1)")
+    assert theory.model.calc_normalize(u) == u
+    value_pool = default_value_pool(theory, [u])
+    term_pool = term_candidate_pool([u])
+    limits = SearchLimits()
+    edges = expand(theory, u, value_pool, term_pool, limits, u.size)
+    assert edges == reference_successors(theory, u, value_pool, term_pool, limits, u.size)
+    one = parse_term(theory, "1")
+    hit = [steps for v, steps in edges if v == one]
+    assert len(hit) == 1
+    rule, calc = hit[0]
+    assert (rule.kind, rule.position, rule.result) == ("rule", (1,), parse_term(theory, "0"))
+    assert (calc.kind, calc.position, calc.replaced) == ("calc", (), parse_term(theory, "+(0, 1)"))
+    assert replay_trace(theory, u, hit[0]) == one
+
+
+def test_value_in_a_deep_context(lists):
+    # the contraction climbs every ancestor that becomes a redex, and no further
+    theory = lists.theory
+    u = parse_term(theory, "nth(cons(x, nil), *(+(length(nil), 2), length(xs)))",
+                   {"x": theory.signature.sort("Elem"), "xs": theory.signature.sort("List")})
+    value_pool = default_value_pool(theory, [u])
+    term_pool = term_candidate_pool([u])
+    limits = SearchLimits(cap_per_redex=4)
+    edges = expand(theory, u, value_pool, term_pool, limits, None)
+    assert edges == reference_successors(theory, u, value_pool, term_pool, limits, None)
+    two = [steps for v, steps in edges
+           if v == parse_term(theory, "nth(cons(x, nil), *(2, length(xs)))",
+                              {"x": theory.signature.sort("Elem"),
+                               "xs": theory.signature.sort("List")})]
+    assert [(st.kind, st.position) for st in two[0]] == [("rule", (2, 1, 1)), ("calc", (2, 1))]
+
+
+def test_results_exactly_at_the_size_cap(group):
+    theory = group.theory
+    u = parse_term(theory, "op(e, op(x, inv(x)))", {"x": theory.signature.sort("G")})
+    value_pool = default_value_pool(theory, [u])
+    term_pool = term_candidate_pool([u])
+    limits = SearchLimits()
+    uncapped = reference_successors(theory, u, value_pool, term_pool, limits, None)
+    sizes = sorted({v.size for v, _ in uncapped})
+    assert len(sizes) > 2
+    for cap in sizes:
+        got = expand(theory, u, value_pool, term_pool, limits, cap)
+        assert got == reference_successors(theory, u, value_pool, term_pool, limits, cap)
+        assert any(v.size == cap for v, _ in got)
+        assert all(v.size <= cap for v, _ in got)
+
+
+def test_non_calc_normal_seed_in_the_term_pool(group):
+    # e -> op(inv(t), t) draws t from the pool; a seed with a redex must be
+    # normalized inside the result
+    theory = group.theory
+    G = theory.signature.sort("G")
+    u = parse_term(theory, "e")
+    seed = parse_term(theory, "exp(y, +(1, 1))", {"y": G})
+    term_pool = term_candidate_pool([u], [seed])
+    assert not calc_normal_pool(theory.model, term_pool)
+    assert calc_normal_pool(theory.model, term_candidate_pool([u]))
+    value_pool = default_value_pool(theory, [u])
+    limits = SearchLimits()
+    for cap in (None, 7, 8, 9):
+        got = expand(theory, u, value_pool, term_pool, limits, cap)
+        assert got == reference_successors(theory, u, value_pool, term_pool, limits, cap)
+    got = expand(theory, u, value_pool, term_pool, limits, 8)
+    target = parse_term(theory, "op(inv(exp(y, 2)), exp(y, 2))", {"y": G})
+    steps = dict(got)[target]
+    assert [st.kind for st in steps] == ["rule", "calc", "calc"]
+    assert [st.position for st in steps[1:]] == [(1, 1, 2), (2, 2)]
+

@@ -1,0 +1,69 @@
+"""The benchmark's tracer (perfbench/tracer.py) finds lcer's layers by name:
+these names must keep resolving, and rule_step_candidates must stay the one
+call that each search expansion makes, or the per-layer counts go silently
+wrong."""
+
+import os
+import sys
+
+import lcer
+import lcer.equations as equations
+from lcer.equations import SearchLimits
+from lcer.syntax import parse_term
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def _tracer_module():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(PERFBENCH)
+    return tracer
+
+
+def test_every_tracer_hook_resolves():
+    tracer = _tracer_module()
+    hooks = list(tracer.SPANS) + [(mod, attr) for mod, attr, _ in tracer.COUNTERS]
+    for mod, attr in hooks:
+        owner, fn = tracer._resolve(sys.modules[f"lcer.{mod}"], attr)
+        assert callable(fn), (mod, attr)
+    names = {f"{mod}.{attr}" for mod, attr in hooks}
+    assert {"terms.App.__post_init__", "models.UnderlyingModel.calc_normalize_steps",
+            "equations.rule_step_candidates"} <= names
+
+
+def test_one_rule_step_candidates_call_per_expansion(group, monkeypatch):
+    theory = group.theory
+    G = theory.signature.sort("G")
+    s = parse_term(theory, "op(e, op(inv(x), op(x, e)))", {"x": G})
+    t = parse_term(theory, "e")
+
+    expansions = []
+    successors = equations._successors
+
+    def counting(theory, u, *args):
+        if not args[3]:  # calc_only expands nothing
+            expansions.append(u)
+        return successors(theory, u, *args)
+
+    monkeypatch.setattr(equations, "_successors", counting)
+    tracer = _tracer_module()
+    tr = tracer.Tracer()
+    original = equations.rule_step_candidates
+    tr.install(lcer)
+    try:
+        trace = equations.conversion_search(theory, s, t, SearchLimits(bound=4))
+    finally:
+        tr.uninstall()
+    assert equations.rule_step_candidates is original
+    assert trace is not None
+
+    counts = tr.metrics()
+    assert expansions
+    assert counts["equations.rule_step_candidates.calls"] == len(expansions)
+    assert counts["equations.conversion_search.calls"] == 1
+    assert counts["terms.App.new"] > 0
+    assert counts["models.calc_normalize_steps.calls"] >= 2  # both endpoints
+    assert counts["equations.expansions_per_s"] > 0
