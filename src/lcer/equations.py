@@ -136,6 +136,8 @@ class CETheory:
                 self._root_index.setdefault(key, []).append(i)
                 dst = eq.rhs if direction == "lr" else eq.lhs
                 self._sides[i, direction] = _Side.of(eq, side, dst)
+        # (root symbol name or None for a variable, sort) -> sides_for's answer
+        self._matching: dict[tuple[Optional[str], Sort], tuple] = {}
 
     def sides_matching(self, t: Term) -> Iterable[tuple[int, str]]:
         """Equation indices/directions whose pattern root can match t."""
@@ -147,6 +149,18 @@ class CETheory:
             for i in self._root_index.get((sort_of(t).name, 1, direction), ()):
                 out.append((i, direction))
         return out
+
+    def sides_for(self, t: Term) -> tuple[tuple[int, str, _Side], ...]:
+        """sides_matching(t) in sorted order, with each side, keeping those
+        whose source has t's sort; computed once per root symbol and sort."""
+        key = (t.fun.name, t.fun.result_sort) if isinstance(t, App) else (None, t.sort)
+        found = self._matching.get(key)
+        if found is None:
+            sort = sort_of(t)
+            sides = [(i, d, self._sides[i, d]) for i, d in sorted(self.sides_matching(t))]
+            found = self._matching[key] = tuple(
+                s for s in sides if sort_of(s[2].src) == sort)
+        return found
 
 
 def term_key(t: Term) -> str:
@@ -385,11 +399,8 @@ def rule_step_candidates(
         term_pool = term_candidate_pool([t])
     out: list[RuleCandidate] = []
     for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
-        for eq_index, direction in sorted(theory.sides_matching(sub)):
+        for eq_index, direction, side in theory.sides_for(sub):
             eq = theory.equations[eq_index]
-            side = theory._sides[eq_index, direction]
-            if sort_of(side.src) != sort_of(sub):
-                continue
             base = match(side.src, sub)
             if base is None:
                 continue

@@ -189,17 +189,48 @@ class UnderlyingModel:
         return bool(v)
 
     def eval_with(self, t: Term, valuation: dict[Variable, object]) -> object:
-        """Interpret a theory term under a valuation into carrier elements."""
-        if isinstance(t, Variable):
-            if t not in valuation:
-                raise EvalError(f"valuation does not cover {t.name}")
-            return valuation[t]
-        if t.fun.is_value:
-            return t.fun.value
-        fn = self.interp.get(t.fun.name)
-        if fn is None:
-            raise EvalError(f"no interpretation for {t.fun.name}")
-        return fn(*(self.eval_with(a, valuation) for a in t.args))
+        """Interpret a theory term under a valuation into carrier elements.
+
+        The same evaluator as compile, called once: EvalError for a variable
+        the valuation does not cover or a symbol without interpretation, when
+        the walk reaches it."""
+        return self.compile(t, list(valuation))(tuple(valuation.values()))
+
+    def compile(self, t: Term, order: list[Variable]) -> Callable[[tuple], object]:
+        """t as a function of a tuple of carrier values, one per variable of
+        order, evaluated as eval_with would walk it.
+
+        Variables become tuple reads and ground subterms are folded to their
+        values; every operator node calls this model's interpretation
+        function.  Nothing raises here: a variable outside order, or a symbol
+        without interpretation, compiles to a node that raises EvalError when
+        evaluation reaches it, left to right and outermost first.
+        """
+        index = {v: i for i, v in enumerate(order)}
+        interp = self.interp
+
+        def build(u: Term) -> tuple[int, object]:
+            if isinstance(u, Variable):
+                i = index.get(u)
+                if i is None:
+                    return _FN, _raiser(f"valuation does not cover {u.name}")
+                return _VAR, i
+            if u.fun.is_value:
+                return _CONST, u.fun.value
+            fn = interp.get(u.fun.name)
+            if fn is None:
+                return _FN, _raiser(f"no interpretation for {u.fun.name}")
+            args = [build(a) for a in u.args]
+            if all(kind == _CONST for kind, _ in args):
+                return _CONST, fn(*(x for _, x in args))
+            return _FN, _node(fn, args)
+
+        kind, x = build(t)
+        if kind == _VAR:
+            return operator.itemgetter(x)
+        if kind == _CONST:
+            return lambda env: x
+        return x  # type: ignore[return-value]
 
     # -- calculation steps ---------------------------------------------------
 
@@ -248,6 +279,47 @@ class UnderlyingModel:
             return v
 
         return go(t, ()), steps
+
+
+# compiled leaves: a constant, a read of the valuation tuple, or a function of it
+_CONST, _VAR, _FN = 0, 1, 2
+
+
+def _raiser(message: str) -> Callable[[tuple], object]:
+    def fail(env: tuple) -> object:
+        raise EvalError(message)
+    return fail
+
+
+def _node(fn: Callable, args: list[tuple[int, object]]) -> Callable[[tuple], object]:
+    """fn applied to compiled arguments, with constant and variable leaves
+    read inline rather than through a function call of their own."""
+    if len(args) == 1:
+        (ka, a), = args
+        if ka == _VAR:
+            return lambda env: fn(env[a])
+        return lambda env: fn(a(env))
+    if len(args) == 2:
+        (ka, a), (kb, b) = args
+        if ka == _VAR:
+            if kb == _VAR:
+                return lambda env: fn(env[a], env[b])
+            if kb == _CONST:
+                return lambda env: fn(env[a], b)
+            return lambda env: fn(env[a], b(env))
+        if ka == _CONST:
+            if kb == _VAR:
+                return lambda env: fn(a, env[b])
+            return lambda env: fn(a, b(env))
+        if kb == _VAR:
+            return lambda env: fn(a(env), env[b])
+        if kb == _CONST:
+            return lambda env: fn(a(env), b)
+        return lambda env: fn(a(env), b(env))
+    parts = [(lambda env, i=x: env[i]) if k == _VAR
+             else (lambda env, c=x: c) if k == _CONST else x
+             for k, x in args]
+    return lambda env: fn(*[p(env) for p in parts])
 
 
 def bool_model() -> UnderlyingModel:
@@ -330,17 +402,18 @@ def satisfying(
     """Tuples of carrier values over the product of domains (itertools.product
     order, one domain per variable of order) under which phi holds.
 
-    At most limit points are tried.  phi is evaluated on the raw values with
-    eval_with; no term is built per point.  Domain elements must already be
-    carrier elements of their variables' sorts.
+    At most limit points are tried.  phi is compiled once per call
+    (UnderlyingModel.compile) and evaluated on each point's value tuple; no
+    term or valuation dict is built per point.  Domain elements must already
+    be carrier elements of their variables' sorts.  Errors are raised at the
+    first next(), and evaluation errors only when a point is evaluated.
     """
     if vars_of(phi) - set(order):
         raise EvalError("constraint mentions variables outside the enumeration set")
     if sort_of(phi) != BOOL:
         raise EvalError(f"constraint has sort {sort_of(phi).name}, expected Bool")
-    for combo in itertools.islice(itertools.product(*domains), limit):
-        if model.eval_with(phi, dict(zip(order, combo))):
-            yield combo
+    holds = model.compile(phi, order)
+    yield from filter(holds, itertools.islice(itertools.product(*domains), limit))
 
 
 def enumerate_satisfying(

@@ -7,8 +7,9 @@ the same name but different sorts are distinct objects.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 THEORY = "theory"
 TERM = "term"

@@ -92,12 +92,10 @@ def _symbolic_steps(theory: CETheory, t: Term, X: frozenset[Variable],
     model = theory.model
     out = []
     for pos, sub in sorted(positions_of(t), key=lambda ps: ps[0]):
-        for eq_index, direction in sorted(theory.sides_matching(sub)):
+        for eq_index, direction, side in theory.sides_for(sub):
             eq = theory.equations[eq_index]
-            src, dst = (eq.lhs, eq.rhs) if direction == "lr" else (eq.rhs, eq.lhs)
-            if sort_of(src) != sort_of(sub):
-                continue
-            base = match(src, sub)
+            dst = side.dst
+            base = match(side.src, sub)
             if base is None:
                 continue
             if any(x in base and not _theory_over(base[x], X)
@@ -256,7 +254,8 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
     model = theory.model
 
     # (1) closed goals: validity coincides with plain convertibility
-    if not ce.logical_vars and _literal_true(theory, ce.constraint):
+    closed = not ce.logical_vars and _literal_true(theory, ce.constraint)
+    if closed:
         trace = conversion_search(theory, ce.lhs, ce.rhs, budgets.search_limits())
         if trace is not None:
             return ValidityStatus("proved-ground-conversion", trace=trace)
@@ -295,9 +294,12 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
         if count > budgets.max_samples:
             count -= 1
             break
-        inst_l = apply_subst(sigma, ce.lhs)
-        inst_r = apply_subst(sigma, ce.rhs)
-        trace = conversion_search(theory, inst_l, inst_r, budgets.search_limits())
+        if closed:  # the one, empty, sample is the goal step (1) searched in vain
+            trace = None
+        else:
+            inst_l = apply_subst(sigma, ce.lhs)
+            inst_r = apply_subst(sigma, ce.rhs)
+            trace = conversion_search(theory, inst_l, inst_r, budgets.search_limits())
         if trace is None:
             return ValidityStatus("no-conversion-within-bound",
                                   failing_sample=sigma,

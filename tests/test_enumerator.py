@@ -1,10 +1,12 @@
 """The valuation enumerator against the term-building reference.
 
-Raw evaluation (`eval_with` on carrier values) must agree with
-`eval_constraint` on the constraint instantiated by value terms, including
-division and mod by zero and by negative operands.  The sequences that
-`enumerate_satisfying` yields and the verdicts and witnesses of
-`check_validity` on a fixed corpus are pinned to the values the
+Compiled evaluation (`UnderlyingModel.compile` on carrier-value tuples, and
+`eval_with`, which wraps it) must agree with `eval_constraint` on the
+constraint instantiated by value terms, including division and mod by zero
+and by negative operands, folded ground subterms and nested connectives, and
+must raise the errors of a plain tree walk at the same moment.  The
+sequences that `enumerate_satisfying` yields and the verdicts and witnesses
+of `check_validity` on a fixed corpus are pinned to the values the
 term-building loops produced.
 """
 
@@ -13,10 +15,19 @@ import random
 
 import pytest
 
-from lcer.models import EvalError, enumerate_satisfying, satisfying, sort_domain
+from lcer.models import (
+    BOOL,
+    INT,
+    EvalError,
+    UnderlyingModel,
+    enumerate_satisfying,
+    lia_model,
+    satisfying,
+    sort_domain,
+)
 from lcer.oracle import OracleBudget, check_validity
 from lcer.syntax import parse_term, parse_theory
-from lcer.terms import App, Variable, apply_subst
+from lcer.terms import TERM, THEORY, App, FunSymbol, Variable, apply_subst
 
 THEORIES = {name: parse_theory(f"(theory (model {spec}))").theory
             for name, spec in (("lia", "lia"), ("bool", "bool"), ("intmod", "intmod 5"))}
@@ -91,6 +102,21 @@ FIXED = [
     ("intmod", "x y", "=(div(x,y),mod(y,x))"),
     ("intmod", "x", "=(mod(neg(x),0),-(0,x))"),
     ("bool", "p q", "<=>(=>(p,q),or(not(p),q))"),
+    # ground subterms, folded by compile
+    ("lia", "x", "=(+(x,*(2,3)),div(7,neg(2)))"),
+    ("lia", "x y", "and(<(x,+(1,2)),not(=(mod(neg(7),3),y)))"),
+    ("lia", "x", "=(div(7,0),mod(neg(7),0))"),
+    ("intmod", "x", "or(=(x,+(4,3)),<=>(=(div(3,0),0),>(mod(4,0),x)))"),
+    ("bool", "p", "and(p,not(false))"),
+    ("bool", "p", "p"),
+    # nested not, => and <=>
+    ("bool", "p q", "not(<=>(=>(p,not(q)),not(=>(not(q),p))))"),
+    ("lia", "x b:Bool", "=>(not(b),<=>(not(<(x,0)),=>(b,>(x,1))))"),
+    ("intmod", "x b:Bool", "<=>(not(not(b)),=>(=(x,0),not(=>(b,>(x,2)))))"),
+    # div and mod by zero and by negatives, on variables
+    ("lia", "x y", "=(mod(x,neg(y)),div(neg(x),0))"),
+    ("lia", "x y", "<=(div(x,neg(y)),mod(neg(x),y))"),
+    ("intmod", "x y", "=(div(x,0),mod(neg(y),x))"),
 ]
 
 
@@ -109,10 +135,12 @@ def test_raw_evaluation_agrees_with_instantiation(model_name):
               if name == model_name]
     for order, phi in cases:
         domains = [sort_domain(model, v.sort, 3) for v in order]
+        holds = model.compile(phi, order)
         for combo in itertools.product(*domains):
             sigma = {v: model.value_term(v.sort, e) for v, e in zip(order, combo)}
-            assert bool(model.eval_with(phi, dict(zip(order, combo)))) is \
-                model.eval_constraint(apply_subst(sigma, phi)), (phi, combo)
+            expected = model.eval_constraint(apply_subst(sigma, phi))
+            assert bool(holds(combo)) is expected, (phi, combo)
+            assert bool(model.eval_with(phi, dict(zip(order, combo)))) is expected
         expected = _reference(model, order, domains, phi)
         assert list(satisfying(model, order, domains, phi)) == expected
         limit = rng.randint(0, 40)
@@ -122,14 +150,97 @@ def test_raw_evaluation_agrees_with_instantiation(model_name):
 
 
 def test_enumerator_rejects_bad_constraints():
+    """At the first next(), not when the generator is made."""
     model, order, phi = _constraint("lia", "x y", "<(x,y)")
+    gen = satisfying(model, order[:1], [[0, 1]], phi)
     with pytest.raises(EvalError, match="outside the enumeration set"):
-        next(satisfying(model, order[:1], [[0, 1]], phi))
+        next(gen)
     plus = App(model.symbols["+"], tuple(order))
+    gen = satisfying(model, order, [[0], [0]], plus)
     with pytest.raises(EvalError, match="expected Bool"):
-        next(satisfying(model, order, [[0], [0]], plus))
+        next(gen)
     with pytest.raises(EvalError, match="outside the enumeration set"):
         next(enumerate_satisfying(model, {order[0]}, phi))
+
+
+def _walk(model, t, valuation):
+    """The recursive evaluator compile replaced, as the reference for when
+    and with which message evaluation fails."""
+    if isinstance(t, Variable):
+        if t not in valuation:
+            raise EvalError(f"valuation does not cover {t.name}")
+        return valuation[t]
+    if t.fun.is_value:
+        return t.fun.value
+    fn = model.interp.get(t.fun.name)
+    if fn is None:
+        raise EvalError(f"no interpretation for {t.fun.name}")
+    return fn(*(_walk(model, a, valuation) for a in t.args))
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except EvalError as exc:
+        return "error", str(exc)
+
+
+def test_compiled_errors_match_the_tree_walk():
+    model, (x, y), _ = _constraint("lia", "x y", "true")
+    h = App(FunSymbol("h", (INT,), BOOL, TERM), (x,))  # no interpretation
+    s = model.symbols
+    cases = [
+        App(s["<"], (x, y)),
+        h,
+        App(s["and"], (h, App(s["<"], (x, y)))),
+        App(s["and"], (App(s["<"], (y, x)), h)),
+        App(s["not"], (App(s["=Int"], (App(s["+"], (y, App(s["*"], (x, y)))), x)),)),
+        App(s["or"], (App(s["=Int"], (App(s["div"], (x, y)), y)), h)),
+    ]
+    for phi in cases:
+        for valuation in ({x: 2, y: -3}, {x: 2}, {y: 0}, {}):
+            order = list(valuation)
+            values = tuple(valuation.values())
+            want = _outcome(_walk, model, phi, valuation)
+            assert _outcome(model.compile(phi, order), values) == want, (phi, valuation)
+            assert _outcome(model.eval_with, phi, valuation) == want
+
+
+def test_compile_folds_ground_subterms():
+    model = lia_model()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    model.interp = {name: counted(name, fn) for name, fn in model.interp.items()}
+    x = Variable("x", INT)
+    phi = parse_term(THEORIES["lia"], "=(+(x,*(2,3)),neg(div(7,0)))", {"x": INT})
+    holds = model.compile(phi, [x])
+    assert sorted(calls) == ["*", "div", "neg"]
+    calls.clear()
+    assert [v for v in range(-8, 8) if holds((v,))] == [-6]
+    assert sorted(set(calls)) == ["+", "=Int"] and len(calls) == 32
+
+
+def test_evaluation_errors_wait_for_a_point():
+    """An evaluation error is raised only when a point is evaluated, so an
+    empty product or limit 0 raises nothing."""
+    model, order, phi = _constraint("lia", "x y", "<(x,y)")
+    h = App(FunSymbol("h", (INT,), BOOL, TERM), (order[0],))
+    model.compile(App(model.symbols["and"], (h, phi)), order[:1])  # raises nothing
+    assert list(satisfying(model, order, [[], [0, 1]], App(model.symbols["and"], (phi, h)))) == []
+    assert list(satisfying(model, order[:1], [[0, 1]], h, 0)) == []
+    gen = satisfying(model, order[:1], [[0, 1]], h, 1)
+    with pytest.raises(EvalError, match="no interpretation for h"):
+        next(gen)
+    # a short-circuit-free walk: the right operand is evaluated even when the
+    # left one decides
+    with pytest.raises(EvalError, match="no interpretation for h"):
+        next(satisfying(model, order, [[1], [0]], App(model.symbols["and"], (phi, h))))
 
 
 # -- pinned corpus -----------------------------------------------------------------
@@ -202,3 +313,20 @@ def test_pinned_verdicts(model_name, spec, text, budget, status, witness):
     got = None if verdict.witness is None else \
         {v.name: t.fun.value for v, t in verdict.witness.items()}
     assert got == witness
+
+
+def test_compile_handles_wider_operators():
+    """Built-in operators take at most two arguments; a model's own ternary
+    one compiles through the general node."""
+    base = lia_model()
+    ite = FunSymbol("ite", (BOOL, INT, INT), INT, THEORY)
+    model = UnderlyingModel("ite", [BOOL, INT], list(base.symbols.values()) + [ite],
+                            dict(base.interp, ite=lambda c, a, b: a if c else b),
+                            base.carriers)
+    b, x = Variable("b", BOOL), Variable("x", INT)
+    seven = model.value_term(INT, 7)
+    phi = App(model.symbols["=Int"], (App(ite, (b, x, seven)), seven))
+    holds = model.compile(phi, [b, x])
+    got = [(c, v) for c in (False, True) for v in (6, 7) if holds((c, v))]
+    assert got == [(False, 6), (False, 7), (True, 7)]
+    assert model.compile(App(ite, (model.value_term(BOOL, True), seven, x)), [x])((3,)) == 7

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcer
 from lcer.models import lia_model
 from lcer.syntax import parse_term
 from lcer.terms import (
@@ -220,3 +225,29 @@ def test_decompose_round_trip_random(lists):
         ctx, pairs = decompose_differences(s, u)
         assert ctx.plug([p[0] for p in pairs]) == s
         assert ctx.plug([p[1] for p in pairs]) == u
+
+
+_REIMPORT = """
+import gc, importlib, sys
+
+def purge():
+    for name in [n for n in sys.modules if n == "lcer" or n.startswith("lcer.")]:
+        del sys.modules[name]
+
+for _ in range(3):
+    purge()
+    importlib.import_module("lcer")
+gc.collect()
+print(sum(1 for o in gc.get_objects() if isinstance(o, type)
+          and o.__module__ == "lcer.terms" and o.__name__ == "Variable"))
+"""
+
+
+def test_reimport_keeps_no_old_modules_alive():
+    """A purged lcer must be collectable: no module-level cache (typing's
+    subscription cache, say) may keep an old Variable class alive."""
+    src = str(Path(lcer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"

@@ -1,6 +1,6 @@
 from lcer.syntax import parse_goal_spec
 from lcer.terms import apply_subst
-from lcer.validity import ValidityBudgets, check_ce_validity, is_trivial
+from lcer.validity import ValidityBudgets, ValidityStatus, check_ce_validity, is_trivial
 
 
 def test_trivial_forced_by_constraint(absmax):
@@ -57,3 +57,29 @@ def test_validity_ground_conversion(mod12):
                            ValidityBudgets(bound=3, box=3))
     assert st.kind == "proved-ground-conversion"
     assert len(st.trace) == 2
+
+
+def test_closed_goal_is_searched_once(monkeypatch):
+    """A closed goal with constraint true has one, empty, sample: the goal
+    itself, which step (1) has already searched."""
+    import lcer.validity
+    from tests.conftest import load_theory
+
+    tf = load_theory("refute_bool.th")
+    calls = []
+    search = lcer.validity.conversion_search
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(lcer.validity, "conversion_search", counting)
+    st = check_ce_validity(tf.theory, tf.goals["gf"])
+    assert len(calls) == 1
+    assert st == ValidityStatus(
+        "no-conversion-within-bound", failing_sample={},
+        detail="bounded search found no conversion for this instance; "
+               "this does not prove invalidity")
+    st = check_ce_validity(tf.theory, tf.goals["gf"], ValidityBudgets(max_samples=0))
+    assert st == ValidityStatus("unknown",
+                                detail="no satisfying instances in the sample box")
