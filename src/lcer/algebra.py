@@ -27,7 +27,6 @@ from .equations import (
     default_value_pool,
     macro_steps,
     term_candidate_pool,
-    term_key,
 )
 from .models import BOOL, INT, UnderlyingModel, has_element, satisfying
 from .sexpr import Atom, ParseError, expect_atom, expect_list, head, parse_sexprs
@@ -39,6 +38,7 @@ from .terms import (
     Term,
     Variable,
     subterms_of,
+    term_key,
     vars_of,
 )
 
@@ -443,11 +443,11 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
         for _ in range(depth):
             nxt = []
             for u in frontier:
-                for nf, steps in macro_steps(theory, u, pool, term_pool, limits,
-                                             None, pool_normal):
+                for nf, _, edge in macro_steps(theory, u, pool, term_pool, limits,
+                                               None, pool_normal):
                     if nf in traces:
                         continue
-                    traces[nf] = traces[u] + steps
+                    traces[nf] = traces[u] + edge.steps()
                     if model.is_value_term(nf) and nf != start:
                         return ConsistencyReport(False, depth, start, nf, traces[nf])
                     nxt.append(nf)

@@ -11,7 +11,9 @@ consistency check in `algebra`.  It expands a calc-normal term only: after a
 rule step at position p, only the new subterm and the ancestors of p can hold
 a calculation redex, so only they are normalized.  Rule-step candidates are
 lazy, and a candidate whose result is calc-normal has a size known before
-anything is built, so the size cap drops it before it costs a term.
+anything is built, so the size cap drops it before it costs a term.  An
+edge's trace steps are built only when read (`RuleCandidate.steps`): a
+search builds them only along the path it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .models import UnderlyingModel, enumerate_satisfying, satisfying
 from .terms import (
@@ -31,12 +33,15 @@ from .terms import (
     Term,
     Variable,
     apply_subst,
+    instantiate,
     match,
     positions_of,
     replace_at,
     sort_of,
     subterm_at,
     subterms_of,
+    term_key,
+    trusted_app,
     vars_of,
 )
 
@@ -163,14 +168,6 @@ class CETheory:
         return found
 
 
-def term_key(t: Term) -> str:
-    if isinstance(t, Variable):
-        return t.name
-    if not t.args:
-        return t.fun.name
-    return f"({t.fun.name} {' '.join(term_key(a) for a in t.args)})"
-
-
 # -- traces ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -293,10 +290,14 @@ class RuleCandidate:
     (the instantiated destination side), the result (`term` with the
     replacement at position, not calc-normalized) and `subst` are built when
     they are read, so a candidate that is dropped costs no term.
+
+    As a macro edge of `macro_steps`, it also keeps `calc`, the calculation
+    steps after the rule step as (position, redex, value); `steps()` builds
+    the edge's trace steps from both.
     """
 
     __slots__ = ("term", "position", "redex", "eq_index", "direction", "side",
-                 "sigma", "_replacement", "_result")
+                 "sigma", "calc", "_replacement", "_result")
 
     def __init__(self, term: Term, position: Position, redex: Term, eq_index: int,
                  direction: str, side: _Side, sigma: dict[Variable, Term]) -> None:
@@ -307,6 +308,7 @@ class RuleCandidate:
         self.direction = direction
         self.side = side
         self.sigma = sigma
+        self.calc: Sequence[tuple[Position, Term, Term]] = ()
         self._replacement: Optional[Term] = None
         self._result: Optional[Term] = None
 
@@ -319,7 +321,7 @@ class RuleCandidate:
     @property
     def replacement(self) -> Term:
         if self._replacement is None:
-            self._replacement = apply_subst(self.sigma, self.side.dst)
+            self._replacement = instantiate(self.sigma, self.side.dst)
         return self._replacement
 
     @property
@@ -332,12 +334,19 @@ class RuleCandidate:
     def size(self) -> int:
         """The size of `result`, computed without building it."""
         side, sigma = self.side, self.sigma
-        return (self.term.size - self.redex.size + side.dst.size
-                + sum(n * (sigma[x].size - 1) for x, n in side.occurrences))
+        size = self.term.size - self.redex.size + side.dst.size
+        for x, n in side.occurrences:
+            size += n * (sigma[x].size - 1)
+        return size
 
     def as_step(self) -> TraceStep:
         return TraceStep(self.position, "rule", self.direction, self.eq_index,
                          self.subst, self.redex, self.replacement)
+
+    def steps(self) -> tuple[TraceStep, ...]:
+        """The rule step, then the calculation steps in `calc`."""
+        return (self.as_step(), *(TraceStep(pos, "calc", "lr", None, (), redex, value)
+                                  for pos, redex, value in self.calc))
 
 
 def _extra_assignments(
@@ -449,30 +458,29 @@ def calc_normal_pool(model: UnderlyingModel, term_pool: dict[Sort, tuple[Term, .
 
 
 def _normalize_spine(model: UnderlyingModel, u: Term, pos: Position,
-                     replacement: Term) -> tuple[Term, list[TraceStep]]:
-    """calc_trace of u with replacement put at pos, for a calc-normal u.
+                     replacement: Term) -> tuple[Term, list[tuple[Position, Term, Term]]]:
+    """calc_normalize_steps of u with replacement put at pos, for a
+    calc-normal u.
 
     Only the replacement and the ancestors of pos can hold a redex: the
     replacement is normalized first, then each ancestor, bottom-up, is
     contracted if it has become a redex.  This is the innermost-leftmost
     sequence that calc_trace takes on the whole term.
     """
-    nf, raw = model.calc_normalize_steps(replacement)
-    steps = [TraceStep(pos + p, "calc", "lr", None, (), redex, value)
-             for p, redex, value in raw]
+    v, raw = model.calc_normalize_steps(replacement)
+    steps = [(pos + p, redex, value) for p, redex, value in raw]
     ancestors = []
     node = u
     for i in pos:
         ancestors.append(node)
         node = node.args[i - 1]  # type: ignore[union-attr]
-    v = nf
     for depth in range(len(pos) - 1, -1, -1):
         parent = ancestors[depth]
         i = pos[depth] - 1
-        v = App(parent.fun, parent.args[:i] + (v,) + parent.args[i + 1:])
+        v = trusted_app(parent.fun, parent.args[:i] + (v,) + parent.args[i + 1:])
         if model.is_calc_redex(v):
             value = model.interpret_term(v)
-            steps.append(TraceStep(pos[:depth], "calc", "lr", None, (), v, value))
+            steps.append((pos[:depth], v, value))
             v = value
     return v, steps
 
@@ -485,10 +493,11 @@ def macro_steps(
     limits: SearchLimits,
     size_cap: Optional[int],
     pool_normal: bool,
-) -> Iterator[tuple[Term, tuple[TraceStep, ...]]]:
+) -> Iterator[tuple[Term, int, RuleCandidate]]:
     """The frontier expander: macro edges out of u (one rule step, then calc
-    normalization), as (v, steps) in rule_step_candidates order, without
-    v == u and without any v larger than size_cap (None: no cap).
+    normalization), as (v, n, cand) in rule_step_candidates order, without
+    v == u and without any v larger than size_cap (None: no cap).  n is the
+    number of trace steps of the edge and cand.steps() builds them.
 
     u must be calc-normal.  pool_normal says whether every term of term_pool
     is (see calc_normal_pool).  When the instantiated side of a candidate is
@@ -509,14 +518,12 @@ def macro_steps(
             if size_cap is not None and cand.size > size_cap:
                 continue
             v = cand.result
-            steps: tuple[TraceStep, ...] = (cand.as_step(),)
         else:
-            v, calc_steps = _normalize_spine(model, u, cand.position, cand.replacement)
+            v, cand.calc = _normalize_spine(model, u, cand.position, cand.replacement)
             if size_cap is not None and v.size > size_cap:
                 continue
-            steps = (cand.as_step(), *calc_steps)
         if v != u:
-            yield v, steps
+            yield v, 1 + len(cand.calc), cand
 
 
 def _successors(theory, u, value_pool, term_pool, limits, calc_only, size_cap,
@@ -527,7 +534,7 @@ def _successors(theory, u, value_pool, term_pool, limits, calc_only, size_cap,
         return []
     edges = list(macro_steps(theory, u, value_pool, term_pool, limits, size_cap,
                              pool_normal))
-    edges.sort(key=lambda e: (len(e[1]), e[0].size, term_key(e[0])))
+    edges.sort(key=lambda e: (e[1], e[0].size, term_key(e[0])))
     return edges
 
 
@@ -572,11 +579,11 @@ def conversion_search(
     pool_normal = calc_normal_pool(model, term_pool)
     size_cap = max(s0.size, t0.size) + limits.max_term_growth
 
-    # dist[side][term] = (cost, parent, edge_steps); the frontier is ordered by
+    # dist[side][term] = (cost, parent, edge); the frontier is ordered by
     # cost + term size (greedy toward small meeting terms), which is the
     # documented deterministic expansion order
-    dist: list[dict[Term, tuple[int, Optional[Term], tuple]]] = [
-        {s0: (0, None, ())}, {t0: (0, None, ())}]
+    dist: list[dict[Term, tuple[int, Optional[Term], Optional[RuleCandidate]]]] = [
+        {s0: (0, None, None)}, {t0: (0, None, None)}]
     done: list[set[Term]] = [set(), set()]
     heaps: list[list] = [[(s0.size, 0, term_key(s0), s0)], [(t0.size, 0, term_key(t0), t0)]]
     best: Optional[tuple[int, int, str, Term]] = None
@@ -617,14 +624,14 @@ def conversion_search(
             continue
         # the first meet under this deterministic expansion order is the
         # result; within one expansion the best of its meets wins
-        for v, steps in _successors(theory, u, value_pool, term_pool, limits,
-                                    calc_only, size_cap, pool_normal):
-            c2 = cost + len(steps)
+        for v, n, edge in _successors(theory, u, value_pool, term_pool, limits,
+                                      calc_only, size_cap, pool_normal):
+            c2 = cost + n
             if c2 > budget:
                 continue
             old = dist[side].get(v)
             if old is None or c2 < old[0]:
-                dist[side][v] = (c2, u, steps)
+                dist[side][v] = (c2, u, edge)
                 heapq.heappush(heaps[side], (c2 + v.size, c2, term_key(v), v))
                 consider_meet(v)
 
@@ -635,18 +642,18 @@ def conversion_search(
     fwd: list[TraceStep] = []
     node = meet
     while True:
-        cost, parent, steps = dist[0][node]
+        cost, parent, edge = dist[0][node]
         if parent is None:
             break
-        fwd = list(steps) + fwd
+        fwd = list(edge.steps()) + fwd  # type: ignore[union-attr]
         node = parent
     bwd: list[TraceStep] = []
     node = meet
     while True:
-        cost, parent, steps = dist[1][node]
+        cost, parent, edge = dist[1][node]
         if parent is None:
             break
-        bwd.extend(st.reversed_() for st in reversed(steps))
+        bwd.extend(st.reversed_() for st in reversed(edge.steps()))  # type: ignore[union-attr]
         node = parent
     trace = tuple(prefix + fwd + bwd + suffix)
     if len(trace) > limits.bound:
@@ -680,10 +687,10 @@ def reachable_terms(
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            for v, steps in _successors(theory, u, value_pool, term_pool,
-                                        limits, False, size_cap, pool_normal):
+            for v, _, edge in _successors(theory, u, value_pool, term_pool,
+                                          limits, False, size_cap, pool_normal):
                 if v not in out:
-                    out[v] = out[u] + steps
+                    out[v] = out[u] + edge.steps()
                     nxt.append(v)
                     if len(out) >= width:
                         return out

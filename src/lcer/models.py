@@ -27,6 +27,7 @@ from .terms import (
     positions_of,
     replace_at,
     sort_of,
+    trusted_app,
     vars_of,
 )
 
@@ -105,6 +106,7 @@ class UnderlyingModel:
         self.interp = interp
         self.carriers = carriers
         self._value_cache: dict[tuple[str, type, object], FunSymbol] = {}
+        self._value_terms: dict[tuple[str, type, object], App] = {}  # one per symbol
         for s in sorts:
             if carriers[s].finite:
                 for e in carriers[s].elements:  # type: ignore[union-attr]
@@ -124,7 +126,11 @@ class UnderlyingModel:
         return sym
 
     def value_term(self, sort: Sort, element: object) -> App:
-        return App(self.value_symbol(sort, element))
+        key = (sort.name, type(element), element)
+        term = self._value_terms.get(key)
+        if term is None:
+            term = self._value_terms[key] = App(self.value_symbol(sort, element))
+        return term
 
     def value_subst(self, order: list[Variable], values: tuple) -> dict[Variable, Term]:
         """Each variable of order mapped to the value constant of its element."""
@@ -254,7 +260,7 @@ class UnderlyingModel:
         if isinstance(t, Variable):
             return t
         args = tuple(self.calc_normalize(a) for a in t.args)
-        u = t if args == t.args else App(t.fun, args)
+        u = t if args == t.args else trusted_app(t.fun, args)
         if self.is_calc_redex(u):
             return self.interpret_term(u)
         return u
@@ -271,7 +277,7 @@ class UnderlyingModel:
             if isinstance(u, Variable):
                 return u
             args = tuple(go(a, pos + (i + 1,)) for i, a in enumerate(u.args))
-            v = u if args == u.args else App(u.fun, args)
+            v = u if args == u.args else trusted_app(u.fun, args)
             if self.is_calc_redex(v):
                 val = self.interpret_term(v)
                 steps.append((pos, v, val))

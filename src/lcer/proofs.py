@@ -20,7 +20,6 @@ from .equations import (
     TraceStep,
     conversion_search,
     default_value_pool,
-    term_key,
 )
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, check_validity
@@ -34,6 +33,7 @@ from .terms import (
     is_ground,
     sort_of,
     subterm_at,
+    term_key,
     vars_of,
 )
 from .validity import (

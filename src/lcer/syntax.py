@@ -57,12 +57,15 @@ class TheoryFile:
 
 
 class TermReader:
-    """Sort-directed term parsing over one variable environment."""
+    """Sort-directed term parsing over one variable environment.  Every
+    occurrence of a variable it reads is one object, so that substitutions
+    find it by identity."""
 
     def __init__(self, theory: CETheory, env: Optional[dict[str, Sort]] = None) -> None:
         self.theory = theory
         self.model = theory.model
         self.env: dict[str, Sort] = env if env is not None else {}
+        self._variables: dict[tuple[str, Sort], Variable] = {}
 
     def resolve_sort(self, name: str, node: Node) -> Sort:
         s = self.theory.signature.sort(name)
@@ -172,13 +175,19 @@ class TermReader:
                 raise TheoryError("ill-sorted-equation",
                                   f"variable {name} used both at sort {known.name} "
                                   f"and {expected.name}", node.line, node.col)
-            return Variable(name, known)
+            return self.shared_variable(name, known)
         if expected is None:
             raise TheoryError("ill-sorted-equation",
                               f"cannot infer the sort of variable {name}; "
                               "annotate it in a (vars ...) block", node.line, node.col)
         self.env[name] = expected
-        return Variable(name, expected)
+        return self.shared_variable(name, expected)
+
+    def shared_variable(self, name: str, sort: Sort) -> Variable:
+        v = self._variables.get((name, sort))
+        if v is None:
+            v = self._variables[name, sort] = Variable(name, sort)
+        return v
 
     def _check_expected(self, t: Term, expected: Optional[Sort], node: Node) -> None:
         if expected is not None and sort_of(t) != expected:
@@ -206,7 +215,7 @@ def _read_vars_block(reader: TermReader, node: SList) -> list[Variable]:
                               f"variable {name} annotated at two sorts",
                               item.line, item.col)
         reader.env[name] = sort
-        out.append(Variable(name, sort))
+        out.append(reader.shared_variable(name, sort))
     return out
 
 
@@ -252,7 +261,7 @@ def _parse_equation_like(theory: CETheory, node: SList, what: str):
                               f"logical variable {nm} does not occur anywhere; "
                               "annotate it in a (vars ...) block",
                               pi_node.line, pi_node.col)
-        logical.append(Variable(nm, sort))
+        logical.append(reader.shared_variable(nm, sort))
     try:
         ce = ConstrainedEquation(frozenset(logical), lhs, rhs, constraint)
     except CEError as e:
@@ -414,7 +423,7 @@ def parse_goal_spec(theory: CETheory, lhs_text: str, rhs_text: str,
         if sort is None:
             raise TheoryError("ill-sorted-equation",
                               f"logical variable {nm} does not occur in the goal")
-        logical.append(Variable(nm, sort))
+        logical.append(reader.shared_variable(nm, sort))
     if not pi_text:
         logical = sorted(vars_of(constraint), key=lambda v: v.name)
     return ConstrainedEquation(frozenset(logical), lhs, rhs, constraint)

@@ -3,13 +3,18 @@
 Terms are immutable values with structural equality; every operation here is a
 pure function.  Variables carry their sort intrinsically, so two variables with
 the same name but different sorts are distinct objects.
+
+Sorts are checked where terms enter: the public `App(...)`, `apply_subst` and
+`replace_at` (at the replaced position).  Rebuilds whose sorts are right by
+construction use `trusted_app`, which skips the per-argument check.  A term
+caches its hash, its size and, once asked for, its `term_key`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 THEORY = "theory"
 TERM = "term"
@@ -19,6 +24,14 @@ TERM = "term"
 class Sort:
     name: str
     kind: str  # THEORY or TERM
+
+    def __eq__(self, other: Any) -> bool:
+        # structural, as the dataclass's own, but identity first
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.kind == other.kind
 
     def __repr__(self) -> str:
         return self.name
@@ -42,6 +55,16 @@ class FunSymbol:
         if self.is_value and (self.kind != THEORY or self.arg_sorts):
             raise SignatureError(f"value {self.name} must be a theory constant")
 
+    def __eq__(self, other: Any) -> bool:
+        # structural, as the dataclass's own, but identity first
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.arg_sorts == other.arg_sorts
+                and self.result_sort == other.result_sort and self.kind == other.kind
+                and self.is_value == other.is_value and self.value == other.value)
+
     @property
     def arity(self) -> int:
         return len(self.arg_sorts)
@@ -54,13 +77,20 @@ class SignatureError(Exception):
     pass
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, eq=False)
 class Variable:
+    __slots__ = ("name", "sort", "_hash", "_size", "_key")
     name: str
     sort: Sort
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(("v", self.name, self.sort.name)))
+        _set(self, "_hash", hash(("v", self.name, self.sort.name)))
+        _set(self, "_size", 1)
+        _set(self, "_key", self.name)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -73,6 +103,9 @@ class Variable:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __reduce__(self):
+        return Variable, (self.name, self.sort)
+
     @property
     def size(self) -> int:
         return 1
@@ -81,23 +114,38 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class App:
-    fun: FunSymbol
-    args: tuple["Term", ...] = ()
+    """fun applied to args.  The constructor checks the arity and every
+    argument's sort; `trusted_app` skips those checks.  Both end in
+    `__post_init__`, which fills the cached fields (`_key` is term_key, filled
+    on first use)."""
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.fun.arity:
+    __slots__ = ("fun", "args", "_hash", "_size", "_key")
+    fun: FunSymbol
+    args: tuple["Term", ...]
+
+    def __init__(self, fun: FunSymbol, args: tuple["Term", ...] = ()) -> None:
+        if len(args) != fun.arity:
             raise SignatureError(
-                f"{self.fun.name} expects {self.fun.arity} arguments, got {len(self.args)}")
-        for a, s in zip(self.args, self.fun.arg_sorts):
+                f"{fun.name} expects {fun.arity} arguments, got {len(args)}")
+        for a, s in zip(args, fun.arg_sorts):
             if sort_of(a) != s:
                 raise SignatureError(
-                    f"argument {a!r} of {self.fun.name} has sort {sort_of(a).name}, "
+                    f"argument {a!r} of {fun.name} has sort {sort_of(a).name}, "
                     f"expected {s.name}")
-        object.__setattr__(
-            self, "_hash", hash(("a", self.fun.name, self.fun.result_sort.name, self.args)))
-        object.__setattr__(self, "_size", 1 + sum(a.size for a in self.args))
+        _set(self, "fun", fun)
+        _set(self, "args", args)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        fun, args = self.fun, self.args
+        size = 1
+        for a in args:
+            size += a._size
+        _set(self, "_hash", hash(("a", fun.name, fun.result_sort.name, args)))
+        _set(self, "_size", size)
+        _set(self, "_key", None)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -112,6 +160,9 @@ class App:
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
+    def __reduce__(self):
+        return App, (self.fun, self.args)
+
     @property
     def size(self) -> int:
         return self._size  # type: ignore[attr-defined]
@@ -120,6 +171,16 @@ class App:
         if not self.args:
             return self.fun.name
         return f"{self.fun.name}({', '.join(map(repr, self.args))})"
+
+
+def trusted_app(fun: FunSymbol, args: tuple) -> App:
+    """App(fun, args) for arguments whose sorts are fun's by construction: an
+    internal rebuild, not an entry point."""
+    t = _new(App)
+    _set(t, "fun", fun)
+    _set(t, "args", args)
+    t.__post_init__()
+    return t
 
 
 Term = Variable | App
@@ -132,6 +193,22 @@ Position = tuple[int, ...]  # 1-based child indices
 
 def sort_of(t: Term) -> Sort:
     return t.sort if isinstance(t, Variable) else t.fun.result_sort
+
+
+def term_key(t: Term) -> str:
+    """The printed form of t, e.g. "(f x c)": a total order on terms used
+    to break ties.  Computed once per term, bottom-up without recursion."""
+    key = t._key
+    if key is not None:
+        return key
+    todo: list[App] = [t]  # type: ignore[list-item]
+    for u in todo:  # every unkeyed subterm, each after its parent
+        todo.extend([a for a in u.args if a._key is None])
+    for u in reversed(todo):
+        if u._key is None:
+            _set(u, "_key", f"({u.fun.name} {' '.join([a._key for a in u.args])})"
+                 if u.args else u.fun.name)
+    return t._key  # type: ignore[return-value]
 
 
 def is_ground(t: Term) -> bool:
@@ -191,17 +268,18 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 
 def replace_at(t: Term, pos: Position, u: Term) -> Term:
-    if not pos:
-        if sort_of(u) != sort_of(t):
-            raise SortMismatch(
-                f"cannot put a {sort_of(u).name} term at a {sort_of(t).name} position")
-        return u
-    if not isinstance(t, App) or not 1 <= pos[0] <= len(t.args):
-        raise InvalidPosition(f"position {list(pos)} not valid")
-    i = pos[0] - 1
-    args = list(t.args)
-    args[i] = replace_at(args[i], pos[1:], u)
-    return App(t.fun, tuple(args))
+    ancestors: list[App] = []
+    for depth, i in enumerate(pos):
+        if not isinstance(t, App) or not 1 <= i <= len(t.args):
+            raise InvalidPosition(f"position {list(pos[depth:])} not valid")
+        ancestors.append(t)
+        t = t.args[i - 1]
+    if sort_of(u) != sort_of(t):
+        raise SortMismatch(
+            f"cannot put a {sort_of(u).name} term at a {sort_of(t).name} position")
+    for parent, i in zip(reversed(ancestors), reversed(pos)):
+        u = trusted_app(parent.fun, parent.args[:i - 1] + (u,) + parent.args[i:])
+    return u
 
 
 def apply_subst(subst: Subst, t: Term) -> Term:
@@ -214,6 +292,17 @@ def apply_subst(subst: Subst, t: Term) -> Term:
     if args == t.args:
         return t
     return App(t.fun, args)
+
+
+def instantiate(subst: Subst, t: Term) -> Term:
+    """apply_subst for a substitution that binds every variable to a term of
+    its own sort (a match, or draws made by sort): no sort check."""
+    if isinstance(t, Variable):
+        return subst.get(t, t)
+    args = tuple([instantiate(subst, a) for a in t.args])
+    if args == t.args:
+        return t
+    return trusted_app(t.fun, args)
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[Variable, Term]]:
@@ -306,6 +395,7 @@ class Hole:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(("h", self.index, self.sort.name)))
+        object.__setattr__(self, "_size", 1)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -360,19 +450,11 @@ def decompose_differences(s: Term, t: Term) -> tuple[Context, list[tuple[Term, T
         if a == b:
             return a
         if isinstance(a, App) and isinstance(b, App) and a.fun == b.fun:
-            return _mk(a.fun, [go(x, y) for x, y in zip(a.args, b.args)])
+            # a hole has the sort of the subterm it stands for
+            return trusted_app(a.fun, tuple([go(x, y) for x, y in zip(a.args, b.args)]))
         hole = Hole(len(pairs), sort_of(a))
         pairs.append((a, b))
         return hole
-
-    def _mk(fun: FunSymbol, args: list):
-        # skeleton nodes may contain holes, so bypass App's sort validation
-        obj = object.__new__(App)
-        object.__setattr__(obj, "fun", fun)
-        object.__setattr__(obj, "args", tuple(args))
-        object.__setattr__(obj, "_hash", hash(("a", fun.name, fun.result_sort.name, tuple(args))))
-        object.__setattr__(obj, "_size", 1 + sum(getattr(a, "size", 1) for a in args))
-        return obj
 
     skel = go(s, t)
     return Context(skel, len(pairs)), pairs

@@ -22,7 +22,6 @@ from .equations import (
     calc_trace,
     conversion_search,
     default_value_pool,
-    term_key,
 )
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, Verdict, check_validity, valid, unknown
@@ -39,6 +38,7 @@ from .terms import (
     positions_of,
     replace_at,
     sort_of,
+    term_key,
     vars_of,
 )
 

@@ -2,20 +2,24 @@
 full, normalizes the whole result with calc_trace and then filters by size.
 
 The expander (equations.macro_steps, sorted by equations._successors) prunes
-by size before building and normalizes only the rewritten spine; it must give
-the same edges, with the same traces, in the same order.
+by size before building, normalizes only the rewritten spine and builds an
+edge's trace steps only when asked; it must give the same edges, with the same
+traces once built, in the same order.
 """
 
 import random
 
 import pytest
 
+import lcer.equations as equations
 from lcer.equations import (
+    RuleCandidate,
     SearchLimits,
     TraceStep,
     _successors,
     calc_normal_pool,
     calc_trace,
+    conversion_search,
     default_value_pool,
     replay_trace,
     rule_step_candidates,
@@ -56,8 +60,15 @@ def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
 
 
 def expand(theory, u, value_pool, term_pool, limits, size_cap):
-    return _successors(theory, u, value_pool, term_pool, limits, False, size_cap,
-                       calc_normal_pool(theory.model, term_pool))
+    """The expander's edges with their trace steps built, each checked
+    against the step count that the sort and the search use."""
+    edges = []
+    for v, n, edge in _successors(theory, u, value_pool, term_pool, limits, False,
+                                  size_cap, calc_normal_pool(theory.model, term_pool)):
+        steps = edge.steps()
+        assert n == len(steps), (v, steps)
+        edges.append((v, steps))
+    return edges
 
 
 def random_term(theory, rng, sort, depth, variables):
@@ -223,3 +234,33 @@ def test_non_calc_normal_seed_in_the_term_pool(group):
     assert [st.kind for st in steps] == ["rule", "calc", "calc"]
     assert [st.position for st in steps[1:]] == [(1, 1, 2), (2, 2)]
 
+
+
+def test_search_builds_rule_steps_only_for_its_trace(group, monkeypatch):
+    # expinv's search makes tens of thousands of candidates; only the rule
+    # steps of the trace it returns become TraceSteps
+    theory = group.theory
+    goal = group.goals["expinv"]
+    built = []
+    as_step = RuleCandidate.as_step
+
+    def counting_as_step(self):
+        built.append(self)
+        return as_step(self)
+
+    candidates = []
+
+    def counting_candidates(*args, **kwargs):
+        out = rule_step_candidates(*args, **kwargs)
+        candidates.extend(out)
+        return out
+
+    monkeypatch.setattr(RuleCandidate, "as_step", counting_as_step)
+    monkeypatch.setattr(equations, "rule_step_candidates", counting_candidates)
+    trace = conversion_search(theory, goal.lhs, goal.rhs, SearchLimits(bound=12))
+    assert trace is not None
+    assert replay_trace(theory, goal.lhs, trace) == goal.rhs
+    rules = [st for st in trace if st.kind == "rule"]
+    assert rules
+    assert len(built) == len(rules)
+    assert len(candidates) > 1000 * len(rules)

@@ -1,7 +1,10 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,12 @@ import lcer
 from lcer.models import lia_model
 from lcer.syntax import parse_term
 from lcer.terms import (
+    TERM,
+    App,
+    FunSymbol,
     InvalidPosition,
+    SignatureError,
+    Sort,
     SortMismatch,
     Variable,
     apply_subst,
@@ -20,6 +28,8 @@ from lcer.terms import (
     replace_at,
     sort_of,
     subterm_at,
+    subterms_of,
+    term_key,
     unify,
     vars_of,
 )
@@ -183,6 +193,122 @@ def test_positions(mod12):
         subterm_at(term, (2,))
     with pytest.raises(SortMismatch):
         replace_at(term, (1,), term)
+
+
+# -- the checked boundary: messages as they were before trusted construction --
+
+BOOL = MODEL.sorts["Bool"]
+PLUS = MODEL.symbols["+"]
+NEG = MODEL.symbols["neg"]
+X = Variable("x", INT)
+
+
+def test_public_app_checks_arity_and_sorts():
+    with pytest.raises(SignatureError, match=r"^\+ expects 2 arguments, got 1$"):
+        App(PLUS, (X,))
+    with pytest.raises(SignatureError,
+                       match=r"^argument true of \+ has sort Bool, expected Int$"):
+        App(PLUS, (X, MODEL.value_term(BOOL, True)))
+
+
+def test_apply_subst_checks_sorts():
+    with pytest.raises(SignatureError,
+                       match=r"^argument true of \+ has sort Bool, expected Int$"):
+        apply_subst({X: MODEL.value_term(BOOL, True)}, App(PLUS, (X, X)))
+
+
+def test_replace_at_checks_the_replaced_position():
+    term = App(PLUS, (App(NEG, (X,)), X))
+    with pytest.raises(SortMismatch, match=r"^cannot put a Bool term at a Int position$"):
+        replace_at(term, (2,), MODEL.value_term(BOOL, True))
+    # the message names the rest of the position from where it stops being valid
+    with pytest.raises(InvalidPosition, match=r"^position \[3\] not valid$"):
+        replace_at(term, (3,), X)
+    with pytest.raises(InvalidPosition, match=r"^position \[2\] not valid$"):
+        replace_at(term, (1, 2), X)
+    with pytest.raises(InvalidPosition, match=r"^position \[2\] not valid$"):
+        replace_at(term, (1, 1, 2), X)
+    assert replace_at(term, (1, 1), MODEL.value_term(INT, 4)) == \
+        App(PLUS, (App(NEG, (MODEL.value_term(INT, 4),)), X))
+
+
+# -- cached term keys ------------------------------------------------------------
+
+def recursive_key(t):
+    """term_key as it was computed before it was cached."""
+    if isinstance(t, Variable):
+        return t.name
+    if not t.args:
+        return t.fun.name
+    return f"({t.fun.name} {' '.join(recursive_key(a) for a in t.args)})"
+
+
+def test_term_key_matches_the_recursive_key(lists, group):
+    rng = random.Random(11)
+    for theory in (lists.theory, group.theory):
+        model = theory.model
+        symbols = list(theory.signature.symbols) + list(model.symbols.values())
+
+        def rand_term(sort, depth):
+            leaves = [Variable(v, sort) for v in ("x", "y")]
+            if sort.kind == "theory":
+                if sort.name == "Int":
+                    leaves.append(model.value_term(sort, rng.randrange(-3, 4)))
+                else:
+                    leaves.append(model.value_term(sort, rng.random() < 0.5))
+            leaves += [App(f) for f in symbols if f.result_sort == sort and not f.arg_sorts]
+            inner = [f for f in symbols if f.result_sort == sort and f.arg_sorts]
+            if depth == 0 or not inner or rng.random() < 0.3:
+                return rng.choice(leaves)
+            f = rng.choice(inner)
+            return App(f, tuple(rand_term(s, depth - 1) for s in f.arg_sorts))
+
+        sorts = [s for s in list(theory.signature.sorts) + list(model.sorts.values())]
+        for _ in range(150):
+            term = rand_term(rng.choice(sorts), 4)
+            key = term_key(term)
+            assert key == recursive_key(term)
+            assert term_key(term) is key  # computed once
+            for sub in subterms_of(term):
+                assert term_key(sub) == recursive_key(sub)
+            # a term rebuilt around a keyed subterm gets the same key as fresh
+            for pos, sub in positions_of(term):
+                new = replace_at(term, pos, sub)
+                assert term_key(new) == key
+
+
+def test_term_key_of_a_deep_term():
+    # built, keyed and rebuilt without recursion: no RecursionError at depth 3000
+    u = Sort("U", TERM)
+    f = FunSymbol("f", (u,), u, TERM)
+    c = App(FunSymbol("c", (), u, TERM))
+    term = c
+    for _ in range(3000):
+        term = App(f, (term,))
+    assert term_key(term) == "(f " * 3000 + "c" + ")" * 3000
+    deeper = replace_at(term, (1,) * 3000, App(f, (c,)))
+    assert deeper.size == 3002
+    assert term_key(deeper) == "(f " * 3001 + "c" + ")" * 3001
+
+
+def test_terms_stay_frozen_and_copyable(lists):
+    term = t(lists, "nth(cons(x,xs),1)")
+    with pytest.raises(FrozenInstanceError):
+        term.fun = term.args[0].fun
+    with pytest.raises(FrozenInstanceError):
+        term.args[0].name = "y"
+    for copied in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert copied == term and hash(copied) == hash(term)
+        assert term_key(copied) == term_key(term) and copied.size == term.size
+
+
+def test_value_term_is_one_object_per_value():
+    model = lia_model()
+    assert model.value_term(INT, 5) is model.value_term(INT, 5)
+    assert model.value_term(BOOL, True) is model.value_term(BOOL, True)
+    assert model.value_term(INT, 1) is not model.value_term(BOOL, True)
+    assert model.value_term(INT, 5) == MODEL.value_term(INT, 5)
+    assert model.value_term(INT, 5).fun is model.value_symbol(INT, 5)
 
 
 def test_decompose_differences(lists, absmax):

@@ -8,6 +8,7 @@ import sys
 
 import lcer
 import lcer.equations as equations
+import lcer.terms as terms
 from lcer.equations import SearchLimits
 from lcer.syntax import parse_term
 
@@ -67,3 +68,25 @@ def test_one_rule_step_candidates_call_per_expansion(group, monkeypatch):
     assert counts["terms.App.new"] > 0
     assert counts["models.calc_normalize_steps.calls"] >= 2  # both endpoints
     assert counts["equations.expansions_per_s"] > 0
+
+
+def test_app_new_counts_trusted_constructions(group):
+    # replace_at rebuilds the d ancestors of a position of depth d with the
+    # trusted constructor; the counter sees each of them, and one call
+    theory = group.theory
+    G = theory.signature.sort("G")
+    env = {"x": G}
+    term = parse_term(theory, "op(inv(inv(op(x, e))), e)", env)
+    e = parse_term(theory, "e")
+    tracer = _tracer_module()
+    for pos in [(), (1,), (1, 1), (1, 1, 1), (1, 1, 1, 2), (2,)]:
+        tr = tracer.Tracer()
+        tr.install(lcer)
+        try:
+            out = terms.replace_at(term, pos, e)
+        finally:
+            tr.uninstall()
+        assert terms.subterm_at(out, pos) == e
+        counts = tr.metrics()
+        assert counts.get("terms.App.new", 0) == len(pos)
+        assert counts["terms.replace_at.calls"] == 1
