@@ -7,9 +7,11 @@ calculation: every term is kept calc-normalized, and reverse calculation steps
 are recovered only in traces (never enumerated during search).
 
 One frontier expander, `macro_steps`, serves every search here and the
-consistency check in `algebra`.  It expands a calc-normal term only: after a
-rule step at position p, only the new subterm and the ancestors of p can hold
-a calculation redex, so only they are normalized.  Rule-step candidates are
+consistency check in `algebra`; its edge half, `macro_edges`, also takes the
+symbolic rule steps of `validity`, and `breadth_first` is the one loop over
+reachable sets.  It expands a calc-normal term only: after a rule step at
+position p, only the new subterm and the ancestors of p can hold a
+calculation redex, so only they are normalized.  Rule-step candidates are
 lazy, and a candidate whose result is calc-normal has a size known before
 anything is built, so the size cap drops it before it costs a term.  An
 edge's trace steps are built only when read (`RuleCandidate.steps`): a
@@ -21,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .models import UnderlyingModel, enumerate_satisfying, satisfying
 from .terms import (
@@ -73,6 +75,14 @@ class ConstrainedEquation:
         if extra:
             names = ", ".join(sorted(v.name for v in extra))
             raise CEError(f"constraint mentions variables outside the logical set: {names}")
+
+    @property
+    def closed(self) -> bool:
+        """No logical variables and the constraint literally true: then
+        validity is plain convertibility of the sides."""
+        phi = self.constraint
+        return (not self.logical_vars and isinstance(phi, App) and phi.fun.is_value
+                and phi.fun.value is True)
 
     def subst(self, sigma) -> "ConstrainedEquation":
         return ConstrainedEquation(
@@ -494,22 +504,37 @@ def macro_steps(
     size_cap: Optional[int],
     pool_normal: bool,
 ) -> Iterator[tuple[Term, int, RuleCandidate]]:
-    """The frontier expander: macro edges out of u (one rule step, then calc
-    normalization), as (v, n, cand) in rule_step_candidates order, without
-    v == u and without any v larger than size_cap (None: no cap).  n is the
-    number of trace steps of the edge and cand.steps() builds them.
+    """The frontier expander: the macro edges (see macro_edges) of the
+    rule_step_candidates of u.  pool_normal says whether every term of
+    term_pool is calc-normal (see calc_normal_pool)."""
+    yield from macro_edges(
+        theory.model, u,
+        rule_step_candidates(theory, u, value_pool=value_pool, term_pool=term_pool,
+                             solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex),
+        size_cap, pool_normal)
 
-    u must be calc-normal.  pool_normal says whether every term of term_pool
-    is (see calc_normal_pool).  When the instantiated side of a candidate is
-    calc-normal and not a value (its side is plain and every binding is
-    calc-normal), the result is calc-normal too and its size is known before
-    it is built; over-cap candidates are then dropped unbuilt.  Otherwise only
-    the rewritten spine is normalized.
+
+def macro_edges(
+    model: UnderlyingModel,
+    u: Term,
+    cands: Iterable[RuleCandidate],
+    size_cap: Optional[int],
+    pool_normal: bool,
+) -> Iterator[tuple[Term, int, RuleCandidate]]:
+    """Macro edges out of u (one rule step, then calc normalization), as
+    (v, n, cand) in the order of cands, without v == u and without any v
+    larger than size_cap (None: no cap).  n is the number of trace steps of
+    the edge and cand.steps() builds them.
+
+    u must be calc-normal, and so must every binding of a candidate that
+    does not come from term variables; pool_normal says whether those do.
+    When the instantiated side of a candidate is calc-normal and not a value
+    (its side is plain and every binding is calc-normal), the result is
+    calc-normal too and its size is known before it is built; over-cap
+    candidates are then dropped unbuilt.  Otherwise only the rewritten spine
+    is normalized.
     """
-    model = theory.model
-    for cand in rule_step_candidates(
-            theory, u, value_pool=value_pool, term_pool=term_pool,
-            solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex):
+    for cand in cands:
         side = cand.side
         dst = side.dst
         if (side.plain and (pool_normal or not side.term_extras)
@@ -682,13 +707,29 @@ def reachable_terms(
     pool_normal = calc_normal_pool(model, term_pool)
     s0, prefix = calc_trace(model, start)
     size_cap = s0.size + limits.max_term_growth
+    return breadth_first(
+        s0, prefix,
+        lambda u: _successors(theory, u, value_pool, term_pool, limits, False,
+                              size_cap, pool_normal),
+        depth, width)
+
+
+def breadth_first(
+    s0: Term,
+    prefix: Sequence[TraceStep],
+    edges: Callable[[Term], Iterable[tuple[Term, int, RuleCandidate]]],
+    depth: int,
+    width: int,
+) -> dict[Term, ConversionTrace]:
+    """The terms reached from the calc-normal s0 within depth macro edges,
+    each with its trace (prefix, then the steps of each edge), in breadth-first
+    order of edges(u), stopping once width terms are reached."""
     out: dict[Term, ConversionTrace] = {s0: tuple(prefix)}
     frontier = [s0]
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            for v, _, edge in _successors(theory, u, value_pool, term_pool,
-                                          limits, False, size_cap, pool_normal):
+            for v, _, edge in edges(u):
                 if v not in out:
                     out[v] = out[u] + edge.steps()
                     nxt.append(v)

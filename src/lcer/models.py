@@ -167,6 +167,18 @@ class UnderlyingModel:
         s = self.sorts.get("Int")
         return s
 
+    # -- constraint terms --------------------------------------------------
+
+    def equality(self, a: Term, b: Term) -> App:
+        """The constraint a = b, for same-sorted theory terms."""
+        sym = self.symbols.get(f"={sort_of(a).name}")
+        if sym is None:
+            raise ValueError(f"no equality symbol for sort {sort_of(a).name}")
+        return App(sym, (a, b))
+
+    def implies(self, a: Term, b: Term) -> App:
+        return App(self.symbols["=>"], (a, b))
+
     # -- interpretation ----------------------------------------------------
 
     def interpret(self, t: Term) -> object:

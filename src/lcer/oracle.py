@@ -149,7 +149,8 @@ def _split_finite(model, phi, finite_vars, budget) -> Verdict:
 # A formula is ('true',), ('false',), ('atom', key, term), or a connective
 # ('not', f) / ('and', f, g) / ('or', f, g) / ('imp', f, g) / ('iff', f, g).
 # Atom keys canonicalize arithmetic comparisons as sign-normalized polynomials
-# so that e.g. n > 0 and n >= 1 collapse to the same atom.
+# so that e.g. n > 0 and n >= 1 collapse to the same atom; any other atom is
+# keyed by its term (cached hash, structural equality).
 
 TRUE = ("true",)
 FALSE = ("false",)
@@ -322,13 +323,7 @@ def _formula_of(model: UnderlyingModel, t: Term):
             if set(p) == {()}:
                 return TRUE if p[()] >= 0 else FALSE
             return ("atom", ("ge0", _pkey(p)), t)
-    return ("atom", ("term", _term_key(t)), t)
-
-
-def _term_key(t: Term) -> str:
-    if isinstance(t, Variable):
-        return f"?{t.name}"
-    return f"({t.fun.name} {' '.join(_term_key(a) for a in t.args)})"
+    return ("atom", ("term", t), t)
 
 
 def _atoms_of(f, acc: dict):

@@ -5,6 +5,14 @@ enforces each rule's shape and side conditions exactly as declared; rejection
 reports the first failing node in pre-order.  Side conditions that need
 constraint validity go through the oracle, and an undecided oracle query is
 surfaced as its own verdict rather than being treated as pass or fail.
+
+Proofs are built by `generate_calc_proof`, for goals whose instances are one
+calculation apart, and by `prove_heuristic`.  The rewriting stage of the
+latter is validate's own: it takes the proof verdicts of
+`validity.proof_search` in order, simulates a conversion trace step by step,
+or closes a trivial gap and joins it to the simulated gap traces.  Both
+generators close a gap with the one Refl/Axiom/Cong closer, `_close_trivial`,
+and every derivation they return is re-checked.
 """
 
 from __future__ import annotations
@@ -18,8 +26,6 @@ from .equations import (
     ConstrainedEquation,
     ConversionTrace,
     TraceStep,
-    conversion_search,
-    default_value_pool,
 )
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, check_validity
@@ -30,21 +36,14 @@ from .terms import (
     Term,
     Variable,
     apply_subst,
+    decompose_differences,
     is_ground,
-    sort_of,
+    replace_at,
     subterm_at,
-    term_key,
+    theory_over,
     vars_of,
 )
-from .validity import (
-    ValidityBudgets,
-    _equality,
-    _implies,
-    _literal_true,
-    _reachable_symbolic,
-    _theory_over,
-    is_trivial,
-)
+from .validity import ValidityBudgets, proof_search
 
 RULES = (
     "Refl", "Trans", "Sym", "Cong", "Rule", "TheoryInstance", "GeneralInstance",
@@ -196,7 +195,7 @@ def _check(theory: CETheory, d: Derivation, path: tuple[int, ...],
         sigma = d.witness_subst()
         for y in sorted(p.logical_vars, key=lambda v: v.name):
             img = apply_subst(sigma, y)
-            if not _theory_over(img, X):
+            if not theory_over(img, X):
                 raise _Fail(path, d.rule, "side-condition-failed",
                             f"{y.name} maps to {img!r}, not a theory term over the "
                             "conclusion's variables")
@@ -227,7 +226,7 @@ def _check(theory: CETheory, d: Derivation, path: tuple[int, ...],
         if p.logical_vars != X or p.lhs != s or p.rhs != t:
             raise _Fail(path, d.rule, "side-condition-failed",
                         "only the constraint may change")
-        _oracle_valid(theory, _implies(theory, phi, p.constraint), path, d.rule,
+        _oracle_valid(theory, theory.model.implies(phi, p.constraint), path, d.rule,
                       "the conclusion constraint entailing the premise constraint",
                       budget)
 
@@ -244,10 +243,10 @@ def _check(theory: CETheory, d: Derivation, path: tuple[int, ...],
                         "joined by a single disjunction, in order")
 
     elif d.rule == "Axiom":
-        if not _theory_over(s, X) or not _theory_over(t, X):
+        if not theory_over(s, X) or not theory_over(t, X):
             raise _Fail(path, d.rule, "side-condition-failed",
                         "both sides must be theory terms over the logical variables")
-        _oracle_valid(theory, _implies(theory, phi, _equality(theory, s, t)),
+        _oracle_valid(theory, theory.model.implies(phi, theory.model.equality(s, t)),
                       path, d.rule, "the constraint entailing the equation", budget)
 
     elif d.rule == "Abst":
@@ -270,11 +269,11 @@ def _check(theory: CETheory, d: Derivation, path: tuple[int, ...],
             raise _Fail(path, d.rule, "side-condition-failed",
                         "premise is not the conclusion instantiated by the witness")
         if moved:
-            eqs = [_equality(theory, x, apply_subst(sigma, x)) for x in moved]
+            eqs = [theory.model.equality(x, apply_subst(sigma, x)) for x in moved]
             conj = eqs[0]
             for e in eqs[1:]:
                 conj = App(theory.model.symbols["and"], (conj, e))
-            _oracle_valid(theory, _implies(theory, phi, conj), path, d.rule,
+            _oracle_valid(theory, theory.model.implies(phi, conj), path, d.rule,
                           "the constraint pinning the witness values", budget)
 
     elif d.rule == "Enlarge":
@@ -303,7 +302,7 @@ def _calc_joinable(model, u: Term, v: Term) -> bool:
     and so do nested calculations like (0+1)-1 versus 0."""
     if u == v:
         return True
-    for a, b in _top_diffs(u, v):
+    for a, b in decompose_differences(u, v)[1]:
         if not (is_ground(a) and is_ground(b)):
             return False
         if isinstance(a, Variable) or isinstance(b, Variable):
@@ -315,15 +314,33 @@ def _calc_joinable(model, u: Term, v: Term) -> bool:
     return True
 
 
-def _top_diffs(u: Term, v: Term) -> list[tuple[Term, Term]]:
-    if u == v:
-        return []
-    if isinstance(u, App) and isinstance(v, App) and u.fun == v.fun:
-        out = []
-        for a, b in zip(u.args, v.args):
-            out.extend(_top_diffs(a, b))
-        return out
-    return [(u, v)]
+def _close_trivial(theory: CETheory, ce: ConstrainedEquation,
+                   budget: OracleBudget) -> Optional[Derivation]:
+    """Refl/Axiom/Cong closure of ce, when its difference pairs are theory
+    terms over its logical variables whose equation the oracle proves under
+    its constraint; None otherwise."""
+    model = theory.model
+
+    def rec(a: Term, b: Term) -> Optional[Derivation]:
+        goal = ConstrainedEquation(ce.logical_vars, a, b, ce.constraint)
+        if a == b:
+            return Derivation("Refl", goal)
+        if theory_over(a, ce.logical_vars) and theory_over(b, ce.logical_vars):
+            obligation = model.implies(ce.constraint, model.equality(a, b))
+            if check_validity(model, obligation, budget).is_valid:
+                return Derivation("Axiom", goal)
+            return None
+        if isinstance(a, App) and isinstance(b, App) and a.fun == b.fun:
+            premises = []
+            for x, y in zip(a.args, b.args):
+                p = rec(x, y)
+                if p is None:
+                    return None
+                premises.append(p)
+            return Derivation("Cong", goal, premises=tuple(premises))
+        return None
+
+    return rec(ce.lhs, ce.rhs)
 
 
 def generate_calc_proof(theory: CETheory, ce: ConstrainedEquation,
@@ -350,23 +367,9 @@ def generate_calc_proof(theory: CETheory, ce: ConstrainedEquation,
             raise GenerationError(
                 f"instance {_fmt_subst(sigma)} is not joinable by calculation alone")
 
-    def rec(a: Term, b: Term) -> Derivation:
-        goal = ConstrainedEquation(ce.logical_vars, a, b, ce.constraint)
-        if a == b:
-            return Derivation("Refl", goal)
-        if _theory_over(a, ce.logical_vars) and _theory_over(b, ce.logical_vars):
-            obligation = _implies(theory, ce.constraint, _equality(theory, a, b))
-            v = check_validity(model, obligation, budget)
-            if not v.is_valid:
-                raise GenerationError(
-                    f"equation obligation {a!r} = {b!r} not proved by the oracle")
-            return Derivation("Axiom", goal)
-        if isinstance(a, App) and isinstance(b, App) and a.fun == b.fun:
-            return Derivation("Cong", goal,
-                              premises=tuple(rec(x, y) for x, y in zip(a.args, b.args)))
-        raise GenerationError(f"cannot close the gap between {a!r} and {b!r}")
-
-    d = rec(ce.lhs, ce.rhs)
+    d = _close_trivial(theory, ce, budget)
+    if d is None:
+        raise GenerationError(f"cannot close the gap between {ce.lhs!r} and {ce.rhs!r}")
     report = check_proof(theory, d, budget)
     if not report.accepted:
         raise GenerationError(f"generated derivation was not accepted: {report.detail}")
@@ -438,46 +441,22 @@ def _simulate_step(theory: CETheory, whole_before: Term, step: TraceStep,
 def simulate_trace(theory: CETheory, start: Term, trace: ConversionTrace,
                    X: frozenset[Variable], phi: Term) -> Optional[Derivation]:
     """Trans-join one derivation per trace step; None for an empty trace."""
-    from .terms import replace_at
-
-    node: Optional[Derivation] = None
-    t = start
+    parts = []
     for step in trace:
-        d = _simulate_step(theory, t, step, X, phi)
-        t = replace_at(t, step.position, step.result)
-        if node is None:
-            node = d
-        else:
-            node = Derivation("Trans", ConstrainedEquation(
-                X, node.conclusion.lhs, d.conclusion.rhs, phi),
-                premises=(node, d))
+        parts.append(_simulate_step(theory, start, step, X, phi))
+        start = replace_at(start, step.position, step.result)
+    return _chain(parts, X, phi)
+
+
+def _chain(parts: list[Derivation], X: frozenset[Variable],
+           phi: Term) -> Optional[Derivation]:
+    """Trans-join derivations of consecutive equations, left to right; None
+    for none."""
+    node: Optional[Derivation] = None
+    for d in parts:
+        node = d if node is None else Derivation("Trans", ConstrainedEquation(
+            X, node.conclusion.lhs, d.conclusion.rhs, phi), premises=(node, d))
     return node
-
-
-def _close_trivial(theory: CETheory, ce: ConstrainedEquation,
-                   budget: OracleBudget) -> Optional[Derivation]:
-    """Refl/Axiom/Cong closure for a trivial constrained equation, when the
-    difference pairs are oracle-provable theory pairs."""
-    def rec(a: Term, b: Term) -> Optional[Derivation]:
-        goal = ConstrainedEquation(ce.logical_vars, a, b, ce.constraint)
-        if a == b:
-            return Derivation("Refl", goal)
-        if _theory_over(a, ce.logical_vars) and _theory_over(b, ce.logical_vars):
-            obligation = _implies(theory, ce.constraint, _equality(theory, a, b))
-            if check_validity(theory.model, obligation, budget).is_valid:
-                return Derivation("Axiom", goal)
-            return None
-        if isinstance(a, App) and isinstance(b, App) and a.fun == b.fun:
-            premises = []
-            for x, y in zip(a.args, b.args):
-                p = rec(x, y)
-                if p is None:
-                    return None
-                premises.append(p)
-            return Derivation("Cong", goal, premises=tuple(premises))
-        return None
-
-    return rec(ce.lhs, ce.rhs)
 
 
 def prove_heuristic(theory: CETheory, ce: ConstrainedEquation,
@@ -489,7 +468,6 @@ def prove_heuristic(theory: CETheory, ce: ConstrainedEquation,
     simulation toward a trivial gap, and finite case splitting.
     """
     budgets = budgets or ValidityBudgets()
-    model = theory.model
 
     try:
         return generate_calc_proof(theory, ce, budgets.oracle, box=budgets.box)
@@ -508,49 +486,26 @@ def prove_heuristic(theory: CETheory, ce: ConstrainedEquation,
 
 
 def _prove_by_rewriting(theory, ce, budgets) -> Optional[Derivation]:
-    phi = ce.constraint
-    X = ce.logical_vars
-    if not X and _literal_true(theory, phi):
-        trace = conversion_search(theory, ce.lhs, ce.rhs, budgets.search_limits())
-        if trace is not None:
-            d = simulate_trace(theory, ce.lhs, trace, X, phi)
+    """The first of check_ce_validity's proof verdicts for ce that becomes a
+    derivation: a conversion trace is simulated, and a trivial gap is closed
+    and joined to the simulations of both gap traces."""
+    X, phi = ce.logical_vars, ce.constraint
+    for status in proof_search(theory, ce, budgets):
+        if status.trace is not None:
+            d = simulate_trace(theory, ce.lhs, status.trace, X, phi)
             return d or Derivation("Refl", ce)
-
-    pool = default_value_pool(theory, [ce.lhs, ce.rhs])
-    left = _reachable_symbolic(theory, ce.lhs, X, phi, budgets.rewrite_depth,
-                               budgets.rewrite_width, budgets.oracle, pool)
-    right = _reachable_symbolic(theory, ce.rhs, X, phi, budgets.rewrite_depth,
-                                budgets.rewrite_width, budgets.oracle, pool)
-    pairs = sorted(
-        ((ls, rs) for ls in left for rs in right),
-        key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
-                       p[0].size + p[1].size, term_key(p[0]), term_key(p[1])))
-    for ls, rs in pairs[: budgets.max_trivial_pairs]:
-        if sort_of(ls) != sort_of(rs):
-            continue
-        try:
-            gap_ce = ConstrainedEquation(X, ls, rs, phi)
-        except CEError:
-            continue
-        if not is_trivial(theory, gap_ce, budgets.oracle).is_valid:
-            continue
-        gap = None if ls == rs else _close_trivial(theory, gap_ce, budgets.oracle)
-        if ls != rs and gap is None:
-            continue
-        fwd = simulate_trace(theory, ce.lhs, left[ls], X, phi)
-        bwd_trace = tuple(st.reversed_() for st in reversed(right[rs]))
-        parts = [p for p in (fwd, gap) if p is not None]
-        bwd = simulate_trace(theory, rs, bwd_trace, X, phi)
-        if bwd is not None:
-            parts.append(bwd)
-        if not parts:
-            return Derivation("Refl", ce)
-        node = parts[0]
-        for p in parts[1:]:
-            node = Derivation("Trans", ConstrainedEquation(
-                X, node.conclusion.lhs, p.conclusion.rhs, phi),
-                premises=(node, p))
-        return node
+        ls, rs = status.gap  # type: ignore[misc]
+        left, right = status.gap_traces  # type: ignore[misc]
+        gap = None
+        if ls != rs:
+            gap = _close_trivial(theory, ConstrainedEquation(X, ls, rs, phi), budgets.oracle)
+            if gap is None:
+                continue
+        fwd = simulate_trace(theory, ce.lhs, left, X, phi)
+        bwd = simulate_trace(theory, rs, tuple(st.reversed_() for st in reversed(right)),
+                             X, phi)
+        parts = [p for p in (fwd, gap, bwd) if p is not None]
+        return _chain(parts, X, phi) or Derivation("Refl", ce)
     return None
 
 
@@ -571,7 +526,7 @@ def _prove_by_split(theory, ce, budgets, depth) -> Optional[Derivation]:
         ok = True
         for e in elems:
             val = model.value_term(x.sort, e)
-            case_phi = _equality(theory, x, val)
+            case_phi = model.equality(x, val)
             sigma = {x: val}
             inner_goal = ConstrainedEquation(
                 X, apply_subst(sigma, ce.lhs), apply_subst(sigma, ce.rhs),
@@ -591,7 +546,7 @@ def _prove_by_split(theory, ce, budgets, depth) -> Optional[Derivation]:
                        (c.conclusion.constraint, node.conclusion.constraint))
             node = Derivation("Split", ConstrainedEquation(X, ce.lhs, ce.rhs, disj),
                               premises=(c, node))
-        cover = _implies(theory, ce.constraint, node.conclusion.constraint)
+        cover = model.implies(ce.constraint, node.conclusion.constraint)
         if not check_validity(model, cover, budgets.oracle).is_valid:
             continue
         return Derivation("Weakening", ce, premises=(node,))

@@ -150,12 +150,11 @@ class App:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return (
-            isinstance(other, App)
-            and self._hash == other._hash  # type: ignore[attr-defined]
-            and self.fun == other.fun
-            and self.args == other.args
-        )
+        if not isinstance(other, App) or self._hash != other._hash:  # type: ignore
+            return False
+        if self._size < _SHALLOW:  # the depth is below the size: recursion stays short
+            return self.fun == other.fun and self.args == other.args
+        return _deep_eq(self, other)
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -171,6 +170,28 @@ class App:
         if not self.args:
             return self.fun.name
         return f"{self.fun.name}({', '.join(map(repr, self.args))})"
+
+
+_SHALLOW = 64
+
+
+def _deep_eq(s: App, t: App) -> bool:
+    """s == t for terms of equal hash, pair by pair without recursion, so a
+    deep term compares like a shallow one; small subterms go to __eq__."""
+    todo = [(s, t)]
+    for a, b in todo:
+        if a.fun != b.fun or len(a.args) != len(b.args):
+            return False
+        for x, y in zip(a.args, b.args):
+            if x is y:
+                continue
+            if x.__class__ is App and x._size >= _SHALLOW:  # type: ignore[attr-defined]
+                if y.__class__ is not App or x._hash != y._hash:  # type: ignore[attr-defined]
+                    return False
+                todo.append((x, y))
+            elif x != y:
+                return False
+    return True
 
 
 def trusted_app(fun: FunSymbol, args: tuple) -> App:
@@ -209,6 +230,13 @@ def term_key(t: Term) -> str:
             _set(u, "_key", f"({u.fun.name} {' '.join([a._key for a in u.args])})"
                  if u.args else u.fun.name)
     return t._key  # type: ignore[return-value]
+
+
+def theory_over(t: Term, xs: frozenset[Variable]) -> bool:
+    """t is built from theory symbols and variables drawn from xs only."""
+    if isinstance(t, Variable):
+        return t in xs
+    return t.fun.kind == THEORY and all(theory_over(a, xs) for a in t.args)
 
 
 def is_ground(t: Term) -> bool:

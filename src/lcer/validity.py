@@ -5,64 +5,52 @@ instantiation of its logical variables makes both sides syntactically equal.
 Validity checking tries, in order: direct conversion search (closed goals),
 rewriting both sides to a trivial gap (a proof), and exhaustive sampling of
 satisfying instances (evidence only, never a proof).
+
+The two proof steps are `proof_search`, which yields every proof verdict in
+that order, each only when asked for: `check_ce_validity` takes the first,
+and `proofs.prove_heuristic` turns them into derivations until one closes,
+so validate and prove share one proving path.  Symbolic rewriting draws its
+own instantiations (`_symbolic_candidates`) but builds its edges with
+`equations.macro_edges` and its reachable sets with `equations.breadth_first`,
+as `reachable_terms` does.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .equations import (
     CETheory,
     ConstrainedEquation,
     ConversionTrace,
+    RuleCandidate,
     SearchLimits,
-    TraceStep,
+    breadth_first,
     calc_trace,
     conversion_search,
     default_value_pool,
+    macro_edges,
 )
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, Verdict, check_validity, valid, unknown
 from .terms import (
-    THEORY,
     App,
     Term,
     Variable,
     apply_subst,
     decompose_differences,
     fresh_var,
-    is_ground,
     match,
     positions_of,
-    replace_at,
-    sort_of,
     term_key,
+    theory_over,
     vars_of,
 )
 
 SAMPLE_CAVEAT = (
     "confirmed on every sampled instance; this is bounded evidence, not a proof")
-
-
-def _theory_over(t: Term, xs: frozenset[Variable]) -> bool:
-    """t built from theory symbols and variables drawn from xs only."""
-    if isinstance(t, Variable):
-        return t in xs
-    return t.fun.kind == THEORY and all(_theory_over(a, xs) for a in t.args)
-
-
-def _equality(theory: CETheory, a: Term, b: Term) -> Term:
-    name = f"={sort_of(a).name}"
-    sym = theory.model.symbols.get(name)
-    if sym is None:
-        raise ValueError(f"no equality symbol for sort {sort_of(a).name}")
-    return App(sym, (a, b))
-
-
-def _implies(theory: CETheory, a: Term, b: Term) -> Term:
-    return App(theory.model.symbols["=>"], (a, b))
 
 
 def _some_satisfying(theory: CETheory, ce: ConstrainedEquation,
@@ -82,83 +70,52 @@ def _some_satisfying(theory: CETheory, ce: ConstrainedEquation,
     return sigma
 
 
-def _symbolic_steps(theory: CETheory, t: Term, X: frozenset[Variable],
-                    phi: Term, budget: OracleBudget,
-                    value_pool) -> list[tuple[TraceStep, Term]]:
-    """Rewrite steps on open terms: equation variables may bind theory terms
-    over the goal's logical variables, provided the goal constraint entails
-    the instantiated equation constraint.  Each step is simulatable by
-    Weakening over TheoryInstance over Rule."""
+def _symbolic_candidates(theory: CETheory, t: Term, X: frozenset[Variable],
+                         phi: Term, budget: OracleBudget,
+                         value_pool) -> list[RuleCandidate]:
+    """The rule steps out of the open term t: equation variables may bind
+    theory terms over the goal's logical variables, provided the goal
+    constraint entails the instantiated equation constraint.  Each step is
+    simulatable by Weakening over TheoryInstance over Rule."""
     model = theory.model
     out = []
-    for pos, sub in sorted(positions_of(t), key=lambda ps: ps[0]):
+    for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
         for eq_index, direction, side in theory.sides_for(sub):
             eq = theory.equations[eq_index]
-            dst = side.dst
             base = match(side.src, sub)
             if base is None:
                 continue
-            if any(x in base and not _theory_over(base[x], X)
+            if any(x in base and not theory_over(base[x], X)
                    for x in eq.logical_vars):
                 continue
             unbound = sorted(
-                (eq.logical_vars | vars_of(dst)) - set(base),
+                (eq.logical_vars | vars_of(side.dst)) - set(base),
                 key=lambda v: v.name)
             # draw the goal's own variables or pool values for what matching
             # left unbound
             domains = []
-            feasible = True
             for x in unbound:
                 cands: list[Term] = [g for g in sorted(X, key=lambda v: v.name)
                                      if g.sort == x.sort]
                 for e in value_pool.get(x.sort, ())[:8]:
                     cands.append(model.value_term(x.sort, e))
                 if not cands:
-                    feasible = False
                     break
                 domains.append(cands[:6])
-            if not feasible:
-                continue
-            for combo in itertools.product(*domains):
-                sigma = dict(base)
-                sigma.update(zip(unbound, combo))
-                inst_phi = apply_subst(sigma, eq.constraint)
-                if not vars_of(inst_phi) <= X:
-                    continue
-                obligation = _implies(theory, phi, inst_phi)
-                if not check_validity(model, obligation, budget).is_valid:
-                    continue
-                result = replace_at(t, pos, apply_subst(sigma, dst))
-                frozen = tuple(sorted(
-                    ((x, u) for x, u in sigma.items() if u != x),
-                    key=lambda kv: kv[0].name))
-                step = TraceStep(pos, "rule", direction, eq_index, frozen,
-                                 sub, apply_subst(sigma, dst))
-                out.append((step, result))
-                break  # one instantiation per redex keeps the search narrow
+            else:
+                for combo in itertools.product(*domains):
+                    sigma = dict(base)
+                    sigma.update(zip(unbound, combo))
+                    inst_phi = apply_subst(sigma, eq.constraint)
+                    if not vars_of(inst_phi) <= X:
+                        continue
+                    if not check_validity(model, model.implies(phi, inst_phi),
+                                          budget).is_valid:
+                        continue
+                    out.append(RuleCandidate(t, pos, sub, eq_index, direction, side,
+                                             sigma))
+                    break  # one instantiation per redex keeps the search narrow
     return out
-
-
-def _reachable_symbolic(theory, start, X, phi, depth, width, budget, value_pool):
-    nf0, pre = calc_trace(theory.model, start)
-    out = {nf0: tuple(pre)}
-    frontier = [nf0]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for step, v_raw in _symbolic_steps(theory, u, X, phi, budget, value_pool):
-                v, calc_steps = calc_trace(theory.model, v_raw)
-                if v in out:
-                    continue
-                out[v] = out[u] + (step, *calc_steps)
-                nxt.append(v)
-                if len(out) >= width:
-                    return out
-        frontier = nxt
-        if not frontier:
-            break
-    return out
-
 
 
 def is_trivial(theory: CETheory, ce: ConstrainedEquation,
@@ -174,8 +131,8 @@ def is_trivial(theory: CETheory, ce: ConstrainedEquation,
     _, pairs = decompose_differences(ce.lhs, ce.rhs)
     saw_unknown: Optional[Verdict] = None
     for a, b in pairs:
-        if _theory_over(a, ce.logical_vars) and _theory_over(b, ce.logical_vars):
-            obligation = _implies(theory, ce.constraint, _equality(theory, a, b))
+        if theory_over(a, ce.logical_vars) and theory_over(b, ce.logical_vars):
+            obligation = model.implies(ce.constraint, model.equality(a, b))
             v = check_validity(model, obligation, budget)
             if v.is_valid:
                 continue
@@ -243,48 +200,49 @@ class ValidityStatus:
         return self.kind in ("proved-ground-conversion", "proved-by-triviality")
 
 
-def _literal_true(theory: CETheory, phi: Term) -> bool:
+def proof_search(theory: CETheory, ce: ConstrainedEquation,
+                 budgets: ValidityBudgets) -> Iterator[ValidityStatus]:
+    """Steps (1) and (2) of check_ce_validity: its proof verdicts for ce, in
+    the order it tries them, each computed only when asked for."""
     model = theory.model
-    return phi == model.value_term(model.sorts["Bool"], True)
+    # (1) closed goals: validity coincides with plain convertibility
+    if ce.closed:
+        trace = conversion_search(theory, ce.lhs, ce.rhs, budgets.search_limits())
+        if trace is not None:
+            yield ValidityStatus("proved-ground-conversion", trace=trace)
+
+    # (2) rewrite both sides toward a trivial constrained equation; steps may
+    # instantiate equation variables with theory terms over the goal's
+    # logical variables when the goal constraint entails the instance
+    pool = default_value_pool(theory, [ce.lhs, ce.rhs])
+    X, phi = ce.logical_vars, ce.constraint
+
+    def reachable(start: Term) -> dict[Term, ConversionTrace]:
+        s0, prefix = calc_trace(model, start)
+        return breadth_first(
+            s0, prefix,
+            lambda u: macro_edges(model, u, _symbolic_candidates(
+                theory, u, X, phi, budgets.oracle, pool), None, True),
+            budgets.rewrite_depth, budgets.rewrite_width)
+
+    left, right = reachable(ce.lhs), reachable(ce.rhs)
+    pairs = sorted(
+        ((ls, rs) for ls in left for rs in right),
+        key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
+                       p[0].size + p[1].size, term_key(p[0]), term_key(p[1])))
+    # rewriting keeps sorts, so each pair is a well-formed equation
+    for ls, rs in pairs[: budgets.max_trivial_pairs]:
+        if is_trivial(theory, ConstrainedEquation(X, ls, rs, phi), budgets.oracle).is_valid:
+            yield ValidityStatus("proved-by-triviality", gap=(ls, rs),
+                                 gap_traces=(left[ls], right[rs]))
 
 
 def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
                       budgets: ValidityBudgets | None = None) -> ValidityStatus:
     budgets = budgets or ValidityBudgets()
     model = theory.model
-
-    # (1) closed goals: validity coincides with plain convertibility
-    closed = not ce.logical_vars and _literal_true(theory, ce.constraint)
-    if closed:
-        trace = conversion_search(theory, ce.lhs, ce.rhs, budgets.search_limits())
-        if trace is not None:
-            return ValidityStatus("proved-ground-conversion", trace=trace)
-
-    # (2) rewrite both sides toward a trivial constrained equation; steps may
-    # instantiate equation variables with theory terms over the goal's
-    # logical variables when the goal constraint entails the instance
-    pool = default_value_pool(theory, [ce.lhs, ce.rhs])
-    left = _reachable_symbolic(theory, ce.lhs, ce.logical_vars, ce.constraint,
-                               budgets.rewrite_depth, budgets.rewrite_width,
-                               budgets.oracle, pool)
-    right = _reachable_symbolic(theory, ce.rhs, ce.logical_vars, ce.constraint,
-                                budgets.rewrite_depth, budgets.rewrite_width,
-                                budgets.oracle, pool)
-    pairs = sorted(
-        ((ls, rs) for ls in left for rs in right),
-        key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
-                       p[0].size + p[1].size, term_key(p[0]), term_key(p[1])))
-    for ls, rs in pairs[: budgets.max_trivial_pairs]:
-        if sort_of(ls) != sort_of(rs):
-            continue
-        try:
-            cand = ConstrainedEquation(ce.logical_vars, ls, rs, ce.constraint)
-        except Exception:
-            continue
-        if is_trivial(theory, cand, budgets.oracle).is_valid:
-            return ValidityStatus(
-                "proved-by-triviality", gap=(ls, rs),
-                gap_traces=(left[ls], right[rs]))
+    for status in proof_search(theory, ce, budgets):
+        return status
 
     # (3) sampling: evidence only
     count = 0
@@ -294,7 +252,7 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
         if count > budgets.max_samples:
             count -= 1
             break
-        if closed:  # the one, empty, sample is the goal step (1) searched in vain
+        if ce.closed:  # the one, empty, sample is the goal step (1) searched in vain
             trace = None
         else:
             inst_l = apply_subst(sigma, ce.lhs)

@@ -18,7 +18,6 @@ from lcer.models import enumerate_satisfying
 from lcer.oracle import check_validity
 from lcer.proofs import check_proof
 from lcer.terms import App, Variable, apply_subst, vars_of
-from lcer.validity import _equality, _implies
 
 from tests.genrandom import (
     U,
@@ -228,7 +227,7 @@ def suite_model_consequence(cases: int = 100, seed: int = 105) -> tuple[int, int
         ])
         from tests.genrandom import random_constraint
         phi = random_constraint(theory, rng, xs)
-        obligation = _implies(theory, phi, _equality(theory, s, variant))
+        obligation = model.implies(phi, model.equality(s, variant))
         if not check_validity(model, obligation).is_valid:
             continue
         ran += 1

@@ -334,8 +334,7 @@ def test_axiom_agrees_with_oracle_on_finite_models():
     sys.path.insert(0, "tests")
     from genrandom import finite_theory, random_data_term, theory_vars, random_constraint
     from lcer.oracle import check_validity
-    from lcer.validity import _equality, _implies
-
+    
     rng = _random.Random(55)
     for _ in range(150):
         theory = finite_theory("intmod", rng, n_equations=1)
@@ -346,8 +345,8 @@ def test_axiom_agrees_with_oracle_on_finite_models():
         goal = ConstrainedEquation(frozenset(xs), s, t, phi)
         d = Derivation("Axiom", goal)
         accepted = check_proof(theory, d).accepted
-        oracle = check_validity(theory.model, _implies(theory, phi,
-                                                       _equality(theory, s, t)))
+        oracle = check_validity(theory.model, theory.model.implies(
+            phi, theory.model.equality(s, t)))
         assert not oracle.is_unknown  # finite models decide
         assert accepted == oracle.is_valid
 

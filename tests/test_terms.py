@@ -291,6 +291,31 @@ def test_term_key_of_a_deep_term():
     assert term_key(deeper) == "(f " * 3001 + "c" + ")" * 3001
 
 
+def test_equality_of_deep_terms_built_apart():
+    # compared without recursion: no RecursionError at depth 3000
+    u = Sort("U", TERM)
+    f = FunSymbol("f", (u,), u, TERM)
+    g = FunSymbol("g", (u, u), u, TERM)
+    c = App(FunSymbol("c", (), u, TERM))
+    d = App(FunSymbol("d", (), u, TERM))
+
+    def tower(leaf, n=3000):
+        term = leaf
+        for _ in range(n):
+            term = App(f, (term,))
+        return term
+
+    a, b = tower(c), tower(c)
+    assert a is not b and a == b and not a != b
+    assert a != tower(d) and a != tower(c, 2999) and a != c
+    # a small side argument at every level is compared too
+    left, right = c, c
+    for _ in range(3000):
+        left, right = App(g, (left, App(f, (c,)))), App(g, (right, App(f, (c,))))
+    assert left == right
+    assert left != replace_at(right, (1,) * 1500 + (2, 1), d)
+
+
 def test_terms_stay_frozen_and_copyable(lists):
     term = t(lists, "nth(cons(x,xs),1)")
     with pytest.raises(FrozenInstanceError):
