@@ -77,12 +77,16 @@ class ConstrainedEquation:
             raise CEError(f"constraint mentions variables outside the logical set: {names}")
 
     @property
+    def trivial_constraint(self) -> bool:
+        """The constraint is literally true."""
+        phi = self.constraint
+        return isinstance(phi, App) and phi.fun.is_value and phi.fun.value is True
+
+    @property
     def closed(self) -> bool:
         """No logical variables and the constraint literally true: then
         validity is plain convertibility of the sides."""
-        phi = self.constraint
-        return (not self.logical_vars and isinstance(phi, App) and phi.fun.is_value
-                and phi.fun.value is True)
+        return not self.logical_vars and self.trivial_constraint
 
     def subst(self, sigma) -> "ConstrainedEquation":
         return ConstrainedEquation(
@@ -120,7 +124,6 @@ class _Side(NamedTuple):
                 counts[u] = counts.get(u, 0) + 1
             elif u.fun.kind == THEORY and not u.fun.is_value:
                 plain = False
-        constraint = eq.constraint
         return cls(
             src, dst,
             tuple(x for x in eq.logical_vars if x in in_src),
@@ -128,8 +131,7 @@ class _Side(NamedTuple):
             tuple(sorted(counts.keys() - in_src - eq.logical_vars, key=lambda v: v.name)),
             tuple(counts.items()),
             plain,
-            isinstance(constraint, App) and constraint.fun.is_value
-            and constraint.fun.value is True,
+            eq.trivial_constraint,
         )
 
 

@@ -152,9 +152,20 @@ class App:
             return True
         if not isinstance(other, App) or self._hash != other._hash:  # type: ignore
             return False
-        if self._size < _SHALLOW:  # the depth is below the size: recursion stays short
-            return self.fun == other.fun and self.args == other.args
-        return _deep_eq(self, other)
+        todo = [(self, other)]  # pairs of equal hash, compared without recursion
+        for a, b in todo:
+            if a.fun is not b.fun and a.fun != b.fun:
+                return False
+            for x, y in zip(a.args, b.args):
+                if x is y:
+                    continue
+                if x.__class__ is App:
+                    if y.__class__ is not App or x._hash != y._hash:  # type: ignore
+                        return False
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -170,28 +181,6 @@ class App:
         if not self.args:
             return self.fun.name
         return f"{self.fun.name}({', '.join(map(repr, self.args))})"
-
-
-_SHALLOW = 64
-
-
-def _deep_eq(s: App, t: App) -> bool:
-    """s == t for terms of equal hash, pair by pair without recursion, so a
-    deep term compares like a shallow one; small subterms go to __eq__."""
-    todo = [(s, t)]
-    for a, b in todo:
-        if a.fun != b.fun or len(a.args) != len(b.args):
-            return False
-        for x, y in zip(a.args, b.args):
-            if x is y:
-                continue
-            if x.__class__ is App and x._size >= _SHALLOW:  # type: ignore[attr-defined]
-                if y.__class__ is not App or x._hash != y._hash:  # type: ignore[attr-defined]
-                    return False
-                todo.append((x, y))
-            elif x != y:
-                return False
-    return True
 
 
 def trusted_app(fun: FunSymbol, args: tuple) -> App:

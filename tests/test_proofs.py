@@ -334,7 +334,7 @@ def test_axiom_agrees_with_oracle_on_finite_models():
     sys.path.insert(0, "tests")
     from genrandom import finite_theory, random_data_term, theory_vars, random_constraint
     from lcer.oracle import check_validity
-    
+
     rng = _random.Random(55)
     for _ in range(150):
         theory = finite_theory("intmod", rng, n_equations=1)
