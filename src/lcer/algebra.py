@@ -435,6 +435,7 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
     pool_normal = calc_normal_pool(model, term_pool)
     # an explicit value pool draws from the pool alone, never from a box
     limits = replace(limits, solve_box=None)
+    draws: dict = {}  # every probe draws with the same pools: one memo by redex
 
     for key in sorted(probes):
         start = probes[key]
@@ -444,7 +445,7 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
             nxt = []
             for u in frontier:
                 for nf, _, edge in macro_steps(theory, u, pool, term_pool, limits,
-                                               None, pool_normal):
+                                               None, pool_normal, draws):
                     if nf in traces:
                         continue
                     traces[nf] = traces[u] + edge.steps()

@@ -16,6 +16,14 @@ lazy, and a candidate whose result is calc-normal has a size known before
 anything is built, so the size cap drops it before it costs a term.  An
 edge's trace steps are built only when read (`RuleCandidate.steps`): a
 search builds them only along the path it returns.
+
+The rule steps at a position depend only on the redex there (given the
+pools, box and cap of a search), and most positions a search expands hold a
+redex it has met before.  So each search owns one memo from redex to its
+rule steps (`Draw`s), made when the search starts and dropped when it
+returns: a redex is matched and instantiated once per search, and every
+candidate where it recurs shares its draws' instantiated side, that side's
+calc normal form and its size.  Per edge only the rebuilt spine is left.
 """
 
 from __future__ import annotations
@@ -102,20 +110,25 @@ class ConstrainedEquation:
 
 
 class _Side(NamedTuple):
-    """What rule steps with one equation in one direction share: src is
+    """What rule steps with equation eq_index in one direction share: src is
     matched, dst is instantiated."""
 
+    eq_index: int
+    direction: str  # "lr" or "rl"
     src: Term
     dst: Term
     checked_logical: tuple[Variable, ...]  # logical variables of src: must match values
+    matched: tuple[Variable, ...]  # the variables of src, by name
     logical_extras: tuple[Variable, ...]  # logical variables not in src, by name
     term_extras: tuple[Variable, ...]  # other variables of dst not in src, by name
-    occurrences: tuple[tuple[Variable, int], ...]  # variables of dst, with their counts
+    variables: tuple[Variable, ...]  # matched + logical_extras + term_extras
+    occurrences: tuple[tuple[int, int], ...]  # variables of dst (index in variables), counts
     plain: bool  # dst is no value and has no non-value theory operator
     trivial: bool  # the constraint is literally true
 
     @classmethod
-    def of(cls, eq: ConstrainedEquation, src: Term, dst: Term) -> "_Side":
+    def of(cls, eq_index: int, direction: str, eq: ConstrainedEquation) -> "_Side":
+        src, dst = (eq.lhs, eq.rhs) if direction == "lr" else (eq.rhs, eq.lhs)
         in_src = vars_of(src)
         counts: dict[Variable, int] = {}
         plain = not (isinstance(dst, App) and dst.fun.is_value)
@@ -124,12 +137,16 @@ class _Side(NamedTuple):
                 counts[u] = counts.get(u, 0) + 1
             elif u.fun.kind == THEORY and not u.fun.is_value:
                 plain = False
+        matched = tuple(sorted(in_src, key=lambda v: v.name))
+        logical_extras = tuple(sorted(eq.logical_vars - in_src, key=lambda v: v.name))
+        term_extras = tuple(sorted(counts.keys() - in_src - eq.logical_vars,
+                                   key=lambda v: v.name))
+        variables = matched + logical_extras + term_extras
         return cls(
-            src, dst,
+            eq_index, direction, src, dst,
             tuple(x for x in eq.logical_vars if x in in_src),
-            tuple(sorted(eq.logical_vars - in_src, key=lambda v: v.name)),
-            tuple(sorted(counts.keys() - in_src - eq.logical_vars, key=lambda v: v.name)),
-            tuple(counts.items()),
+            matched, logical_extras, term_extras, variables,
+            tuple((variables.index(x), n) for x, n in counts.items()),
             plain,
             eq.trivial_constraint,
         )
@@ -151,8 +168,7 @@ class CETheory:
                 else:
                     key = (side.sort.name, 1, direction)
                 self._root_index.setdefault(key, []).append(i)
-                dst = eq.rhs if direction == "lr" else eq.lhs
-                self._sides[i, direction] = _Side.of(eq, side, dst)
+                self._sides[i, direction] = _Side.of(i, direction, eq)
         # (root symbol name or None for a variable, sort) -> sides_for's answer
         self._matching: dict[tuple[Optional[str], Sort], tuple] = {}
 
@@ -167,16 +183,15 @@ class CETheory:
                 out.append((i, direction))
         return out
 
-    def sides_for(self, t: Term) -> tuple[tuple[int, str, _Side], ...]:
-        """sides_matching(t) in sorted order, with each side, keeping those
-        whose source has t's sort; computed once per root symbol and sort."""
+    def sides_for(self, t: Term) -> tuple[_Side, ...]:
+        """The sides of sides_matching(t) in sorted order, keeping those whose
+        source has t's sort; computed once per root symbol and sort."""
         key = (t.fun.name, t.fun.result_sort) if isinstance(t, App) else (None, t.sort)
         found = self._matching.get(key)
         if found is None:
             sort = sort_of(t)
-            sides = [(i, d, self._sides[i, d]) for i, d in sorted(self.sides_matching(t))]
-            found = self._matching[key] = tuple(
-                s for s in sides if sort_of(s[2].src) == sort)
+            sides = [self._sides[i, d] for i, d in sorted(self.sides_matching(t))]
+            found = self._matching[key] = tuple(s for s in sides if sort_of(s.src) == sort)
         return found
 
 
@@ -293,42 +308,36 @@ def term_candidate_pool(goal_terms: Iterable[Term], seeds: Iterable[Term] = ()) 
             for s, d in seen.items()}
 
 
-class RuleCandidate:
-    """One rule step on `term`: equation eq_index applied in direction at
-    position, where `redex` sits, under `sigma` (the match of the equation's
-    source side extended by the drawn instantiation).
+class Draw:
+    """One rule step at a redex, wherever the redex sits: `side` applied under
+    the substitution that binds side.variables to `values` in order (the
+    match of the source extended by the drawn instantiation).
 
-    A candidate is lazy: it keeps only the substitution.  The replacement
-    (the instantiated destination side), the result (`term` with the
-    replacement at position, not calc-normalized) and `subst` are built when
-    they are read, so a candidate that is dropped costs no term.
-
-    As a macro edge of `macro_steps`, it also keeps `calc`, the calculation
-    steps after the rule step as (position, redex, value); `steps()` builds
-    the edge's trace steps from both.
+    A search draws the rule steps of each distinct redex once
+    (`rule_step_candidates`' `draws`) and every candidate at every position
+    and expansion where the redex recurs shares them, so the instantiated
+    destination side (`replacement`) and its calculation normal form
+    (`normal`) are each built at most once, and only when first read; `size`
+    is the size of `replacement`, known without building it.  A search keeps
+    every draw it makes until it returns, so a draw holds its bindings as a
+    tuple, not a dict.
     """
 
-    __slots__ = ("term", "position", "redex", "eq_index", "direction", "side",
-                 "sigma", "calc", "_replacement", "_result")
+    __slots__ = ("side", "values", "size", "_replacement", "_normal")
 
-    def __init__(self, term: Term, position: Position, redex: Term, eq_index: int,
-                 direction: str, side: _Side, sigma: dict[Variable, Term]) -> None:
-        self.term = term
-        self.position = position
-        self.redex = redex
-        self.eq_index = eq_index
-        self.direction = direction
+    def __init__(self, side: _Side, values: tuple[Term, ...]) -> None:
         self.side = side
-        self.sigma = sigma
-        self.calc: Sequence[tuple[Position, Term, Term]] = ()
+        self.values = values
+        size = side.dst.size
+        for i, n in side.occurrences:
+            size += n * (values[i].size - 1)
+        self.size = size
         self._replacement: Optional[Term] = None
-        self._result: Optional[Term] = None
+        self._normal: Optional[tuple[Term, list[tuple[Position, Term, Term]]]] = None
 
     @property
-    def subst(self) -> tuple[tuple[Variable, Term], ...]:
-        """The non-trivial bindings, sorted by variable name."""
-        return tuple(sorted(((x, u) for x, u in self.sigma.items() if u != x),
-                            key=lambda kv: kv[0].name))
+    def sigma(self) -> dict[Variable, Term]:
+        return dict(zip(self.side.variables, self.values))
 
     @property
     def replacement(self) -> Term:
@@ -336,24 +345,64 @@ class RuleCandidate:
             self._replacement = instantiate(self.sigma, self.side.dst)
         return self._replacement
 
+    def normal(self, model: UnderlyingModel) -> tuple[Term, list[tuple[Position, Term, Term]]]:
+        """model.calc_normalize_steps(replacement); read-only for callers."""
+        if self._normal is None:
+            self._normal = model.calc_normalize_steps(self.replacement)
+        return self._normal
+
+
+class RuleCandidate:
+    """One rule step on `term`: the step `draw` applied at position, where
+    `redex` sits.
+
+    A candidate is lazy: the result (`term` with the draw's replacement at
+    position, not calc-normalized) and `subst` are built when they are read,
+    so a candidate that is dropped costs no term.
+
+    As a macro edge of `macro_steps`, it also keeps `calc`, the calculation
+    steps after the rule step as (position, redex, value); `steps()` builds
+    the edge's trace steps from both.
+    """
+
+    __slots__ = ("term", "position", "redex", "draw", "calc", "_result")
+
+    def __init__(self, term: Term, position: Position, redex: Term, draw: Draw) -> None:
+        self.term = term
+        self.position = position
+        self.redex = redex
+        self.draw = draw
+        self.calc: Sequence[tuple[Position, Term, Term]] = ()
+        self._result: Optional[Term] = None
+
+    @property
+    def eq_index(self) -> int:
+        return self.draw.side.eq_index
+
+    @property
+    def direction(self) -> str:
+        return self.draw.side.direction
+
+    @property
+    def subst(self) -> tuple[tuple[Variable, Term], ...]:
+        """The non-trivial bindings, sorted by variable name."""
+        return tuple(sorted(((x, u) for x, u in self.draw.sigma.items() if u != x),
+                            key=lambda kv: kv[0].name))
+
     @property
     def result(self) -> Term:
         if self._result is None:
-            self._result = replace_at(self.term, self.position, self.replacement)
+            self._result = replace_at(self.term, self.position, self.draw.replacement)
         return self._result
 
     @property
     def size(self) -> int:
         """The size of `result`, computed without building it."""
-        side, sigma = self.side, self.sigma
-        size = self.term.size - self.redex.size + side.dst.size
-        for x, n in side.occurrences:
-            size += n * (sigma[x].size - 1)
-        return size
+        return self.term.size - self.redex.size + self.draw.size
 
     def as_step(self) -> TraceStep:
         return TraceStep(self.position, "rule", self.direction, self.eq_index,
-                         self.subst, self.redex, self.replacement)
+                         self.subst, self.redex, self.draw.replacement)
 
     def steps(self) -> tuple[TraceStep, ...]:
         """The rule step, then the calculation steps in `calc`."""
@@ -394,6 +443,42 @@ def _extra_assignments(
     return list(found.values())
 
 
+def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
+              term_pool: dict[Sort, tuple[Term, ...]], solve_box: Optional[int],
+              cap_per_redex: int) -> tuple[Draw, ...]:
+    """The rule steps at the redex sub, by equation index and direction, then
+    instantiation."""
+    model = theory.model
+    out: list[Draw] = []
+    for side in theory.sides_for(sub):
+        base = match(side.src, sub)
+        if base is None:
+            continue
+        # logical variables bound by matching must already be values
+        if any(not model.is_value_term(base[x]) for x in side.checked_logical):
+            continue
+        if side.trivial and not side.logical_extras:
+            assigns: list[dict[Variable, Term]] = [{}]
+        else:
+            assigns = _extra_assignments(
+                model, list(side.logical_extras),
+                apply_subst(base, theory.equations[side.eq_index].constraint),
+                value_pool, solve_box, cap_per_redex)
+        term_domains = []
+        for x in side.term_extras:
+            cands = term_pool.get(x.sort, ())
+            if not cands:
+                break
+            term_domains.append(cands)
+        else:
+            matched = tuple([base[x] for x in side.matched])
+            for logical_sigma in assigns:
+                logical = tuple([logical_sigma[x] for x in side.logical_extras])
+                for term_combo in itertools.product(*term_domains):
+                    out.append(Draw(side, matched + logical + term_combo))
+    return tuple(out)
+
+
 def rule_step_candidates(
     theory: CETheory,
     t: Term,
@@ -401,6 +486,7 @@ def rule_step_candidates(
     term_pool: Optional[dict[Sort, tuple[Term, ...]]] = None,
     solve_box: int | None | str = "auto",
     cap_per_redex: int = 256,
+    draws: Optional[dict[Term, tuple[Draw, ...]]] = None,
 ) -> list[RuleCandidate]:
     """All one-step rule successors of t (either direction), as lazy
     RuleCandidates ordered by position (pre-order), then equation index and
@@ -410,8 +496,14 @@ def rule_step_candidates(
     the box and from the value pool; unbound term variables come from the term
     pool.  Passing an explicit value_pool (with the default "auto" box) keeps
     the draws to the pool alone.
+
+    The rule steps at a position depend only on the redex there, the pools,
+    solve_box and cap_per_redex.  `draws` maps each redex already seen to its
+    rule steps (`Draw`s): a search passes one dict to every call it makes,
+    with the same explicit pools, box and cap, so each distinct redex is
+    matched and instantiated once per search and its candidates share the
+    draws.  None draws afresh at every position.
     """
-    model = theory.model
     if solve_box == "auto":
         solve_box = None if value_pool is not None else 64
     if value_pool is None:
@@ -420,34 +512,13 @@ def rule_step_candidates(
         term_pool = term_candidate_pool([t])
     out: list[RuleCandidate] = []
     for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
-        for eq_index, direction, side in theory.sides_for(sub):
-            eq = theory.equations[eq_index]
-            base = match(side.src, sub)
-            if base is None:
-                continue
-            # logical variables bound by matching must already be values
-            if any(not model.is_value_term(base[x]) for x in side.checked_logical):
-                continue
-            if side.trivial and not side.logical_extras:
-                assigns: list[dict[Variable, Term]] = [{}]
-            else:
-                assigns = _extra_assignments(
-                    model, list(side.logical_extras), apply_subst(base, eq.constraint),
-                    value_pool, solve_box, cap_per_redex)
-            term_domains = []
-            for x in side.term_extras:
-                cands = term_pool.get(x.sort, ())
-                if not cands:
-                    break
-                term_domains.append(cands)
-            else:
-                for logical_sigma in assigns:
-                    for term_combo in itertools.product(*term_domains):
-                        sigma = dict(base)
-                        sigma.update(logical_sigma)
-                        sigma.update(zip(side.term_extras, term_combo))
-                        out.append(RuleCandidate(t, pos, sub, eq_index, direction,
-                                                 side, sigma))
+        found = None if draws is None else draws.get(sub)
+        if found is None:
+            found = _draws_at(theory, sub, value_pool, term_pool, solve_box, cap_per_redex)
+            if draws is not None:
+                draws[sub] = found
+        for draw in found:
+            out.append(RuleCandidate(t, pos, sub, draw))
     return out
 
 
@@ -470,16 +541,16 @@ def calc_normal_pool(model: UnderlyingModel, term_pool: dict[Sort, tuple[Term, .
 
 
 def _normalize_spine(model: UnderlyingModel, u: Term, pos: Position,
-                     replacement: Term) -> tuple[Term, list[tuple[Position, Term, Term]]]:
-    """calc_normalize_steps of u with replacement put at pos, for a
-    calc-normal u.
+                     draw: Draw) -> tuple[Term, list[tuple[Position, Term, Term]]]:
+    """calc_normalize_steps of u with the draw's replacement put at pos, for
+    a calc-normal u.
 
     Only the replacement and the ancestors of pos can hold a redex: the
-    replacement is normalized first, then each ancestor, bottom-up, is
-    contracted if it has become a redex.  This is the innermost-leftmost
-    sequence that calc_trace takes on the whole term.
+    replacement is normalized first (once per draw), then each ancestor,
+    bottom-up, is contracted if it has become a redex.  This is the
+    innermost-leftmost sequence that calc_trace takes on the whole term.
     """
-    v, raw = model.calc_normalize_steps(replacement)
+    v, raw = draw.normal(model)
     steps = [(pos + p, redex, value) for p, redex, value in raw]
     ancestors = []
     node = u
@@ -505,14 +576,17 @@ def macro_steps(
     limits: SearchLimits,
     size_cap: Optional[int],
     pool_normal: bool,
+    draws: Optional[dict[Term, tuple[Draw, ...]]],
 ) -> Iterator[tuple[Term, int, RuleCandidate]]:
     """The frontier expander: the macro edges (see macro_edges) of the
     rule_step_candidates of u.  pool_normal says whether every term of
-    term_pool is calc-normal (see calc_normal_pool)."""
+    term_pool is calc-normal (see calc_normal_pool); draws is the calling
+    search's memo of rule steps by redex (see rule_step_candidates)."""
     yield from macro_edges(
         theory.model, u,
         rule_step_candidates(theory, u, value_pool=value_pool, term_pool=term_pool,
-                             solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex),
+                             solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex,
+                             draws=draws),
         size_cap, pool_normal)
 
 
@@ -537,16 +611,17 @@ def macro_edges(
     is normalized.
     """
     for cand in cands:
-        side = cand.side
+        draw = cand.draw
+        side = draw.side
         dst = side.dst
         if (side.plain and (pool_normal or not side.term_extras)
                 and not (isinstance(dst, Variable)
-                         and model.is_value_term(cand.sigma[dst]))):
+                         and model.is_value_term(draw.replacement))):
             if size_cap is not None and cand.size > size_cap:
                 continue
             v = cand.result
         else:
-            v, cand.calc = _normalize_spine(model, u, cand.position, cand.replacement)
+            v, cand.calc = _normalize_spine(model, u, cand.position, draw)
             if size_cap is not None and v.size > size_cap:
                 continue
         if v != u:
@@ -554,13 +629,13 @@ def macro_edges(
 
 
 def _successors(theory, u, value_pool, term_pool, limits, calc_only, size_cap,
-                pool_normal):
+                pool_normal, draws):
     """The macro edges of the calc-normal u within size_cap (see macro_steps),
     shortest first, then smallest, then by term_key."""
     if calc_only:
         return []
     edges = list(macro_steps(theory, u, value_pool, term_pool, limits, size_cap,
-                             pool_normal))
+                             pool_normal, draws))
     edges.sort(key=lambda e: (e[1], e[0].size, term_key(e[0])))
     return edges
 
@@ -605,6 +680,7 @@ def conversion_search(
     term_pool = term_candidate_pool([s0, t0], seed_terms)
     pool_normal = calc_normal_pool(model, term_pool)
     size_cap = max(s0.size, t0.size) + limits.max_term_growth
+    draws: dict[Term, tuple[Draw, ...]] = {}  # both sides draw with the same pools
 
     # dist[side][term] = (cost, parent, edge); the frontier is ordered by
     # cost + term size (greedy toward small meeting terms), which is the
@@ -652,7 +728,7 @@ def conversion_search(
         # the first meet under this deterministic expansion order is the
         # result; within one expansion the best of its meets wins
         for v, n, edge in _successors(theory, u, value_pool, term_pool, limits,
-                                      calc_only, size_cap, pool_normal):
+                                      calc_only, size_cap, pool_normal, draws):
             c2 = cost + n
             if c2 > budget:
                 continue
@@ -709,10 +785,11 @@ def reachable_terms(
     pool_normal = calc_normal_pool(model, term_pool)
     s0, prefix = calc_trace(model, start)
     size_cap = s0.size + limits.max_term_growth
+    draws: dict[Term, tuple[Draw, ...]] = {}
     return breadth_first(
         s0, prefix,
         lambda u: _successors(theory, u, value_pool, term_pool, limits, False,
-                              size_cap, pool_normal),
+                              size_cap, pool_normal, draws),
         depth, width)
 
 

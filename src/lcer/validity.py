@@ -25,6 +25,7 @@ from .equations import (
     CETheory,
     ConstrainedEquation,
     ConversionTrace,
+    Draw,
     RuleCandidate,
     SearchLimits,
     breadth_first,
@@ -54,14 +55,13 @@ SAMPLE_CAVEAT = (
 
 
 def _some_satisfying(theory: CETheory, ce: ConstrainedEquation,
-                     budget: OracleBudget) -> Optional[dict[Variable, Term]]:
-    """A constraint-satisfying X-valued substitution covering all of X, or None."""
+                     negated: Verdict) -> Optional[dict[Variable, Term]]:
+    """A constraint-satisfying X-valued substitution covering all of X, or
+    None, from `negated`, the oracle's verdict on the negated constraint."""
     model = theory.model
-    neg = App(model.symbols["not"], (ce.constraint,))
-    v = check_validity(model, neg, budget)
-    if not v.is_invalid:
+    if not negated.is_invalid:
         return None
-    sigma = dict(v.witness or {})
+    sigma = dict(negated.witness or {})
     for x in ce.logical_vars:
         if x not in sigma:
             car = model.carriers[x.sort]
@@ -80,8 +80,8 @@ def _symbolic_candidates(theory: CETheory, t: Term, X: frozenset[Variable],
     model = theory.model
     out = []
     for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
-        for eq_index, direction, side in theory.sides_for(sub):
-            eq = theory.equations[eq_index]
+        for side in theory.sides_for(sub):
+            eq = theory.equations[side.eq_index]
             base = match(side.src, sub)
             if base is None:
                 continue
@@ -112,8 +112,8 @@ def _symbolic_candidates(theory: CETheory, t: Term, X: frozenset[Variable],
                     if not check_validity(model, model.implies(phi, inst_phi),
                                           budget).is_valid:
                         continue
-                    out.append(RuleCandidate(t, pos, sub, eq_index, direction, side,
-                                             sigma))
+                    out.append(RuleCandidate(t, pos, sub, Draw(
+                        side, tuple([sigma[x] for x in side.variables]))))
                     break  # one instantiation per redex keeps the search narrow
     return out
 
@@ -127,7 +127,7 @@ def is_trivial(theory: CETheory, ce: ConstrainedEquation,
     if unsat.is_valid:
         return valid()  # vacuously trivial
 
-    sigma0 = _some_satisfying(theory, ce, budget)
+    sigma0 = _some_satisfying(theory, ce, unsat)
     _, pairs = decompose_differences(ce.lhs, ce.rhs)
     saw_unknown: Optional[Verdict] = None
     for a, b in pairs:

@@ -21,6 +21,7 @@ from lcer.equations import (
     calc_trace,
     conversion_search,
     default_value_pool,
+    macro_edges,
     replay_trace,
     rule_step_candidates,
     term_candidate_pool,
@@ -59,12 +60,14 @@ def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
     return edges
 
 
-def expand(theory, u, value_pool, term_pool, limits, size_cap):
+def expand(theory, u, value_pool, term_pool, limits, size_cap, draws=None):
     """The expander's edges with their trace steps built, each checked
-    against the step count that the sort and the search use."""
+    against the step count that the sort and the search use.  draws is a
+    search's memo of rule steps by redex (None: draw afresh)."""
     edges = []
     for v, n, edge in _successors(theory, u, value_pool, term_pool, limits, False,
-                                  size_cap, calc_normal_pool(theory.model, term_pool)):
+                                  size_cap, calc_normal_pool(theory.model, term_pool),
+                                  draws):
         steps = edge.steps()
         assert n == len(steps), (v, steps)
         edges.append((v, steps))
@@ -234,6 +237,60 @@ def test_non_calc_normal_seed_in_the_term_pool(group):
     assert [st.kind for st in steps] == ["rule", "calc", "calc"]
     assert [st.position for st in steps[1:]] == [(1, 1, 2), (2, 2)]
 
+
+
+def test_search_scoped_draws_match_the_reference(group):
+    # one memo of rule steps by redex, filled by earlier expansions, serves
+    # later ones: inv(x) and x recur in the first term; op(exp(x, 2), exp(x,
+    # 3)) recurs in the second, and its rule step to exp(x, +(3, 2)) is not
+    # plain, so its calculation normal form is shared; G draws terms from the
+    # term pool (e -> op(inv(t), t))
+    theory = group.theory
+    env = {"x": theory.signature.sort("G")}
+    starts = [parse_term(theory, text, env) for text in (
+        "op(inv(x), op(inv(x), x))",
+        "op(op(exp(x, 2), exp(x, 3)), op(exp(x, 2), exp(x, 3)))")]
+    value_pool = default_value_pool(theory, starts)
+    term_pool = term_candidate_pool(starts)
+    limits = SearchLimits(cap_per_redex=3)
+    draws = {}
+    checked = 0
+    for start in starts:
+        frontier = [start]
+        for _ in range(2):
+            nxt = []
+            for u in frontier[:6]:
+                for cap in (None, u.size + 2):
+                    got = expand(theory, u, value_pool, term_pool, limits, cap, draws)
+                    assert got == reference_successors(
+                        theory, u, value_pool, term_pool, limits, cap), (u, cap)
+                    checked += 1
+                nxt += [v for v, _ in got]
+            frontier = nxt
+    assert checked > 20
+    assert any(len(d) > 1 for d in draws.values())
+
+    # candidates at two positions of one redex share its draws, and each
+    # edge's steps carry its own positions
+    nonplain = 0
+    for start, first, second in ((starts[0], (1,), (2, 1)), (starts[1], (1,), (2,))):
+        cands = rule_step_candidates(theory, start, value_pool, term_pool,
+                                     limits.solve_box, limits.cap_per_redex, draws=draws)
+        edges = {(edge.position, id(edge.draw)): (v, edge.steps()) for v, _, edge in
+                 macro_edges(theory.model, start, cands, None, True)}
+        shared = [id(a.draw) for a in cands if a.position == first
+                  and any(b.draw is a.draw for b in cands if b.position == second)]
+        assert shared
+        for key in shared:
+            v1, steps1 = edges[first, key]
+            v2, steps2 = edges[second, key]
+            assert replay_trace(theory, start, steps1) == v1
+            assert replay_trace(theory, start, steps2) == v2
+            assert steps1[0].position == first and steps2[0].position == second
+            assert [st.position[:len(first)] for st in steps1[1:]] == [first] * (len(steps1) - 1)
+            assert [st.position[:len(second)] for st in steps2[1:]] == [second] * (len(steps2) - 1)
+            nonplain += len(steps1) > 1
+    assert nonplain > 0
 
 
 def test_search_builds_rule_steps_only_for_its_trace(group, monkeypatch):

@@ -3,14 +3,18 @@ these names must keep resolving, and rule_step_candidates must stay the one
 call that each search expansion makes, or the per-layer counts go silently
 wrong."""
 
+import gc
 import os
 import sys
+from collections import Counter
 
 import lcer
 import lcer.equations as equations
 import lcer.terms as terms
 from lcer.equations import SearchLimits
 from lcer.syntax import parse_term
+
+from conftest import load_theory
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -37,9 +41,7 @@ def test_every_tracer_hook_resolves():
 
 def test_one_rule_step_candidates_call_per_expansion(group, monkeypatch):
     theory = group.theory
-    G = theory.signature.sort("G")
-    s = parse_term(theory, "op(e, op(inv(x), op(x, e)))", {"x": G})
-    t = parse_term(theory, "e")
+    s, t = _group_search_endpoints(theory)
 
     expansions = []
     successors = equations._successors
@@ -68,6 +70,49 @@ def test_one_rule_step_candidates_call_per_expansion(group, monkeypatch):
     assert counts["terms.App.new"] > 0
     assert counts["models.calc_normalize_steps.calls"] >= 2  # both endpoints
     assert counts["equations.expansions_per_s"] > 0
+
+
+def _group_search_endpoints(theory):
+    G = theory.signature.sort("G")
+    return (parse_term(theory, "op(e, op(inv(x), op(x, e)))", {"x": G}),
+            parse_term(theory, "e"))
+
+
+def test_each_redex_is_matched_once_per_side_per_search(group, monkeypatch):
+    # a search draws the rule steps of a redex once, however many positions
+    # and expansions it recurs at
+    theory = group.theory
+    s, t = _group_search_endpoints(theory)
+    matched = Counter()
+    match = equations.match
+
+    def counting(pattern, subject):
+        matched[subject] += 1
+        return match(pattern, subject)
+
+    monkeypatch.setattr(equations, "match", counting)
+    trace = equations.conversion_search(theory, s, t, SearchLimits(bound=4))
+    assert trace is not None
+    assert matched
+    for subject, calls in matched.items():
+        assert calls <= len(theory.sides_for(subject)), subject
+
+
+def test_no_rule_step_outlives_its_search():
+    # a theory of its own, so that no earlier search has drawn its steps
+    def alive():
+        return sum(isinstance(o, (equations.RuleCandidate, equations.Draw))
+                   for o in gc.get_objects())
+
+    theory = load_theory("group.th").theory
+    s, t = _group_search_endpoints(theory)
+    gc.collect()
+    before = alive()
+    trace = equations.conversion_search(theory, s, t, SearchLimits(bound=4))
+    assert trace is not None
+    del trace
+    gc.collect()
+    assert alive() == before
 
 
 def test_app_new_counts_trusted_constructions(group):
