@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .equations import (
@@ -22,11 +22,9 @@ from .equations import (
     ConstrainedEquation,
     ConversionTrace,
     SearchLimits,
-    TraceStep,
-    calc_normal_pool,
+    breadth_first,
     default_value_pool,
-    macro_steps,
-    term_candidate_pool,
+    search_expander,
 )
 from .models import BOOL, INT, UnderlyingModel, has_element, satisfying
 from .sexpr import Atom, ParseError, expect_atom, expect_list, head, parse_sexprs
@@ -65,6 +63,18 @@ class FiniteCEAlgebra:
 
     def underlying_part(self, sort: Sort) -> tuple:
         return tuple(e for e in self.carriers[sort] if self.is_underlying(sort, e))
+
+    def fill_fresh_entries(self) -> None:
+        """Give each theory symbol an entry, where its table has none, on
+        every tuple that touches a fresh element: the first element of the
+        result carrier."""
+        for f in self.theory.model.symbols.values():
+            table = self.tables.setdefault(f.name, {})
+            if f.result_sort not in self.carriers:
+                continue  # validate reports the missing carrier
+            for combo in itertools.product(*(self.carriers.get(s, ()) for s in f.arg_sorts)):
+                if not all(self.is_underlying(s, e) for s, e in zip(f.arg_sorts, combo)):
+                    table.setdefault(combo, self.carriers[f.result_sort][0])
 
     def validate(self) -> None:
         model = self.theory.model
@@ -292,13 +302,8 @@ def search_counter_model(
         table = tables.setdefault(f.name, {})
         for combo in itertools.product(*(carriers[s] for s in f.arg_sorts)):
             table.setdefault(combo, carriers[f.result_sort][0])
-    for f in model.symbols.values():
-        table = tables.setdefault(f.name, {})
-        for combo in itertools.product(*(carriers[s] for s in f.arg_sorts)):
-            if all(shell.is_underlying(s, e) for s, e in zip(f.arg_sorts, combo)):
-                continue
-            table.setdefault(combo, carriers[f.result_sort][0])
     algebra = FiniteCEAlgebra(theory, carriers, tables)
+    algebra.fill_fresh_entries()
     algebra.validate()
     return SearchOutcome(algebra, rho, nodes, False, bounds)
 
@@ -430,37 +435,15 @@ def check_value_consistency(theory: CETheory, depth: int = 8,
         for e in elems:
             t = model.value_term(sort, e)
             probes.setdefault(term_key(t), t)
-    seeds = [t for eq in theory.equations for t in (eq.lhs, eq.rhs)]
-    term_pool = term_candidate_pool(seeds)
-    pool_normal = calc_normal_pool(model, term_pool)
-    # an explicit value pool draws from the pool alone, never from a box
-    limits = replace(limits, solve_box=None)
-    draws: dict = {}  # every probe draws with the same pools: one memo by redex
-
+    # every probe draws from the pool alone, and from one memo
+    expand = search_expander(theory, limits, (),
+                             [t for eq in theory.equations for t in (eq.lhs, eq.rhs)],
+                             None, pool)
     for key in sorted(probes):
         start = probes[key]
-        traces: dict[Term, tuple[TraceStep, ...]] = {start: ()}
-        frontier = [start]
-        for _ in range(depth):
-            nxt = []
-            for u in frontier:
-                for nf, _, edge in macro_steps(theory, u, pool, term_pool, limits,
-                                               None, pool_normal, draws):
-                    if nf in traces:
-                        continue
-                    traces[nf] = traces[u] + edge.steps()
-                    if model.is_value_term(nf) and nf != start:
-                        return ConsistencyReport(False, depth, start, nf, traces[nf])
-                    nxt.append(nf)
-                    if len(traces) >= width:
-                        nxt = []
-                        break
-                else:
-                    continue
-                break
-            frontier = nxt
-            if not frontier:
-                break
+        for nf, trace in breadth_first(start, (), expand, depth, width):
+            if nf != start and model.is_value_term(nf):
+                return ConsistencyReport(False, depth, start, nf, trace)
     return ConsistencyReport(True, depth)
 
 
@@ -545,13 +528,7 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
                 continue
             table[args] = result
 
-    # default-fill omitted theory entries on tuples that touch fresh elements
-    for f in model.symbols.values():
-        table = alg.tables.setdefault(f.name, {})
-        for combo in itertools.product(*(carriers[s] for s in f.arg_sorts)):
-            if all(alg.is_underlying(s, e) for s, e in zip(f.arg_sorts, combo)):
-                continue
-            table.setdefault(combo, carriers[f.result_sort][0])
+    alg.fill_fresh_entries()  # the entries the file omits
     alg.validate()
     return alg
 

@@ -30,7 +30,7 @@ from .equations import (
     rule_step_candidates,
 )
 from .oracle import OracleBudget, OracleFailure
-from .proofs import GenerationError, check_proof, generate_calc_proof, prove_heuristic
+from .proofs import check_proof, prove_heuristic
 from .sexpr import ParseError
 from .smt import SmtSolverSession
 from .syntax import (
@@ -129,7 +129,7 @@ def _limits(args) -> SearchLimits:
     return lim
 
 
-def _pool_from_args(tf, args, goal_terms):
+def _pool_from_args(tf, args):
     if getattr(args, "pool", None):
         model = tf.theory.model
         elems = tuple(int(x) for x in args.pool.split(","))
@@ -162,7 +162,7 @@ def cmd_rewrite(args):
     tf = _load(args)
     t = parse_term(tf.theory, args.term)
     nf = tf.theory.model.calc_normalize(t)
-    pool = _pool_from_args(tf, args, [t])
+    pool = _pool_from_args(tf, args)
     if args.steps <= 1:
         cands = rule_step_candidates(tf.theory, nf, value_pool=pool)
         succ = []
@@ -189,17 +189,16 @@ def cmd_rewrite(args):
 def cmd_convert(args):
     tf = _load(args)
     goal = _goal_from_args(tf, args)
-    if goal.logical_vars or not (goal.constraint == tf.theory.model.value_term(
-            tf.theory.model.sorts["Bool"], True)):
+    if not goal.closed:
         lines = ["convert works on closed goals; use validate for constrained ones"]
         return EXIT_INPUT, {"verdict": "input-error", "detail": lines[0]}, lines
-    pool = _pool_from_args(tf, args, [goal.lhs, goal.rhs])
-    trace = conversion_search(tf.theory, goal.lhs, goal.rhs, _limits(args),
-                              value_pool=pool)
+    limits = _limits(args)
+    trace = conversion_search(tf.theory, goal.lhs, goal.rhs, limits,
+                              value_pool=_pool_from_args(tf, args))
     if trace is None:
-        lines = [f"no conversion within bound {_limits(args).bound}"]
+        lines = [f"no conversion within bound {limits.bound}"]
         return EXIT_UNKNOWN, {"verdict": "no-conversion-within-bound",
-                              "bound": _limits(args).bound}, lines
+                              "bound": limits.bound}, lines
     end = replay_trace(tf.theory, goal.lhs, trace)
     assert end == goal.rhs
     lines = [f"conversion found: {len(trace)} steps"] + _trace_lines(trace)
@@ -258,12 +257,7 @@ def cmd_check(args):
 def cmd_prove(args):
     tf = _load(args)
     goal = _goal_from_args(tf, args)
-    budgets = _budgets(args)
-    d = None
-    try:
-        d = generate_calc_proof(tf.theory, goal, budgets.oracle, box=budgets.box)
-    except GenerationError:
-        d = prove_heuristic(tf.theory, goal, budgets)
+    d = prove_heuristic(tf.theory, goal, _budgets(args))
     if d is None:
         lines = ["no proof found within the budgets"]
         return EXIT_UNKNOWN, {"verdict": "no-proof"}, lines

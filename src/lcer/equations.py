@@ -6,11 +6,13 @@ the instantiated constraint evaluate to true.  Conversion search works modulo
 calculation: every term is kept calc-normalized, and reverse calculation steps
 are recovered only in traces (never enumerated during search).
 
-One frontier expander, `macro_steps`, serves every search here and the
-consistency check in `algebra`; its edge half, `macro_edges`, also takes the
-symbolic rule steps of `validity`, and `breadth_first` is the one loop over
-reachable sets.  It expands a calc-normal term only: after a rule step at
-position p, only the new subterm and the ancestors of p can hold a
+Every search takes its rule steps through one loop, `position_candidates`,
+and its edges through `macro_edges`: conversion search, `reachable_terms`
+and the consistency check in `algebra` set up with `search_expander`, whose
+draws are `rule_step_candidates`', and symbolic rewriting in `validity`
+plugs its own draws into the same loop.  `breadth_first` is the one loop
+over reachable sets.  An edge leaves a calc-normal term only: after a rule
+step at position p, only the new subterm and the ancestors of p can hold a
 calculation redex, so only they are normalized.  Rule-step candidates are
 lazy, and a candidate whose result is calc-normal has a size known before
 anything is built, so the size cap drops it before it costs a term.  An
@@ -20,8 +22,8 @@ search builds them only along the path it returns.
 The rule steps at a position depend only on the redex there (given the
 pools, box and cap of a search), and most positions a search expands hold a
 redex it has met before.  So each search owns one memo from redex to its
-rule steps (`Draw`s), made when the search starts and dropped when it
-returns: a redex is matched and instantiated once per search, and every
+rule steps (`Draw`s), made when the search is set up and dropped when it
+ends: a redex is matched and instantiated once per search, and every
 candidate where it recurs shares its draws' instantiated side, that side's
 calc normal form and its size.  Per edge only the rebuilt spine is left.
 """
@@ -159,39 +161,23 @@ class CETheory:
     equations: tuple[ConstrainedEquation, ...]
 
     def __post_init__(self) -> None:
-        self._root_index: dict[tuple[str, int, str], list[int]] = {}
-        self._sides: dict[tuple[int, str], _Side] = {}
-        for i, eq in enumerate(self.equations):
-            for direction, side in (("lr", eq.lhs), ("rl", eq.rhs)):
-                if isinstance(side, App):
-                    key = (side.fun.name, 0, direction)
-                else:
-                    key = (side.sort.name, 1, direction)
-                self._root_index.setdefault(key, []).append(i)
-                self._sides[i, direction] = _Side.of(i, direction, eq)
+        # by equation index, then direction
+        self._sides = tuple(_Side.of(i, direction, eq) for i, eq in enumerate(self.equations)
+                            for direction in ("lr", "rl"))
         # (root symbol name or None for a variable, sort) -> sides_for's answer
-        self._matching: dict[tuple[Optional[str], Sort], tuple] = {}
-
-    def sides_matching(self, t: Term) -> Iterable[tuple[int, str]]:
-        """Equation indices/directions whose pattern root can match t."""
-        out: list[tuple[int, str]] = []
-        for direction in ("lr", "rl"):
-            if isinstance(t, App):
-                out.extend((i, direction)
-                           for i in self._root_index.get((t.fun.name, 0, direction), ()))
-            for i in self._root_index.get((sort_of(t).name, 1, direction), ()):
-                out.append((i, direction))
-        return out
+        self._matching: dict[tuple[Optional[str], Sort], tuple[_Side, ...]] = {}
 
     def sides_for(self, t: Term) -> tuple[_Side, ...]:
-        """The sides of sides_matching(t) in sorted order, keeping those whose
-        source has t's sort; computed once per root symbol and sort."""
+        """The sides whose source can match t: of t's sort, and a variable or
+        rooted at t's symbol, by equation index and then direction; computed
+        once per root symbol and sort."""
         key = (t.fun.name, t.fun.result_sort) if isinstance(t, App) else (None, t.sort)
         found = self._matching.get(key)
         if found is None:
-            sort = sort_of(t)
-            sides = [self._sides[i, d] for i, d in sorted(self.sides_matching(t))]
-            found = self._matching[key] = tuple(s for s in sides if sort_of(s.src) == sort)
+            name, sort = key
+            found = self._matching[key] = tuple(
+                s for s in self._sides if sort_of(s.src) == sort
+                and (isinstance(s.src, Variable) or s.src.fun.name == name))
         return found
 
 
@@ -313,9 +299,9 @@ class Draw:
     the substitution that binds side.variables to `values` in order (the
     match of the source extended by the drawn instantiation).
 
-    A search draws the rule steps of each distinct redex once
-    (`rule_step_candidates`' `draws`) and every candidate at every position
-    and expansion where the redex recurs shares them, so the instantiated
+    A search draws the rule steps of each distinct redex once (the memo of
+    `position_candidates`) and every candidate at every position and
+    expansion where the redex recurs shares them, so the instantiated
     destination side (`replacement`) and its calculation normal form
     (`normal`) are each built at most once, and only when first read; `size`
     is the size of `replacement`, known without building it.  A search keeps
@@ -360,7 +346,7 @@ class RuleCandidate:
     position, not calc-normalized) and `subst` are built when they are read,
     so a candidate that is dropped costs no term.
 
-    As a macro edge of `macro_steps`, it also keeps `calc`, the calculation
+    As a macro edge of `macro_edges`, it also keeps `calc`, the calculation
     steps after the rule step as (position, redex, value); `steps()` builds
     the edge's trace steps from both.
     """
@@ -479,6 +465,27 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
     return tuple(out)
 
 
+def position_candidates(t: Term, draws: dict[Term, tuple[Draw, ...]],
+                        draw: Callable[[Term], tuple[Draw, ...]]) -> list[RuleCandidate]:
+    """The rule steps out of t, as lazy RuleCandidates ordered by position
+    (pre-order), then by the order of each redex's draws.
+
+    The rule steps at a position depend only on the redex there, given what
+    the search draws with: `draws` maps each redex already seen to its rule
+    steps, and draw(redex) makes them for a redex met for the first time.  A
+    search passes one memo to every expansion, so each distinct redex is drawn
+    once per search and its candidates share the draws.
+    """
+    out: list[RuleCandidate] = []
+    for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
+        found = draws.get(sub)
+        if found is None:
+            found = draws[sub] = draw(sub)
+        for d in found:
+            out.append(RuleCandidate(t, pos, sub, d))
+    return out
+
+
 def rule_step_candidates(
     theory: CETheory,
     t: Term,
@@ -497,12 +504,9 @@ def rule_step_candidates(
     pool.  Passing an explicit value_pool (with the default "auto" box) keeps
     the draws to the pool alone.
 
-    The rule steps at a position depend only on the redex there, the pools,
-    solve_box and cap_per_redex.  `draws` maps each redex already seen to its
-    rule steps (`Draw`s): a search passes one dict to every call it makes,
-    with the same explicit pools, box and cap, so each distinct redex is
-    matched and instantiated once per search and its candidates share the
-    draws.  None draws afresh at every position.
+    `draws` is the memo of position_candidates: a search passes one dict to
+    every call it makes, with the same explicit pools, box and cap.  None
+    draws with a memo of this call alone.
     """
     if solve_box == "auto":
         solve_box = None if value_pool is not None else 64
@@ -510,16 +514,9 @@ def rule_step_candidates(
         value_pool = default_value_pool(theory, [t])
     if term_pool is None:
         term_pool = term_candidate_pool([t])
-    out: list[RuleCandidate] = []
-    for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
-        found = None if draws is None else draws.get(sub)
-        if found is None:
-            found = _draws_at(theory, sub, value_pool, term_pool, solve_box, cap_per_redex)
-            if draws is not None:
-                draws[sub] = found
-        for draw in found:
-            out.append(RuleCandidate(t, pos, sub, draw))
-    return out
+    return position_candidates(
+        t, {} if draws is None else draws,
+        lambda sub: _draws_at(theory, sub, value_pool, term_pool, solve_box, cap_per_redex))
 
 
 # -- bidirectional conversion search ------------------------------------------
@@ -534,7 +531,7 @@ class SearchLimits:
 
 
 def calc_normal_pool(model: UnderlyingModel, term_pool: dict[Sort, tuple[Term, ...]]) -> bool:
-    """Whether every term of the pool is calc-normal; `macro_steps` needs to
+    """Whether every term of the pool is calc-normal; `macro_edges` needs to
     know, and it holds unless a seed term is not calc-normal."""
     return not any(model.is_calc_redex(u) for terms in term_pool.values()
                    for t in terms for u in subterms_of(t))
@@ -566,28 +563,6 @@ def _normalize_spine(model: UnderlyingModel, u: Term, pos: Position,
             steps.append((pos[:depth], v, value))
             v = value
     return v, steps
-
-
-def macro_steps(
-    theory: CETheory,
-    u: Term,
-    value_pool: dict[Sort, tuple],
-    term_pool: dict[Sort, tuple[Term, ...]],
-    limits: SearchLimits,
-    size_cap: Optional[int],
-    pool_normal: bool,
-    draws: Optional[dict[Term, tuple[Draw, ...]]],
-) -> Iterator[tuple[Term, int, RuleCandidate]]:
-    """The frontier expander: the macro edges (see macro_edges) of the
-    rule_step_candidates of u.  pool_normal says whether every term of
-    term_pool is calc-normal (see calc_normal_pool); draws is the calling
-    search's memo of rule steps by redex (see rule_step_candidates)."""
-    yield from macro_edges(
-        theory.model, u,
-        rule_step_candidates(theory, u, value_pool=value_pool, term_pool=term_pool,
-                             solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex,
-                             draws=draws),
-        size_cap, pool_normal)
 
 
 def macro_edges(
@@ -628,16 +603,45 @@ def macro_edges(
             yield v, 1 + len(cand.calc), cand
 
 
-def _successors(theory, u, value_pool, term_pool, limits, calc_only, size_cap,
-                pool_normal, draws):
-    """The macro edges of the calc-normal u within size_cap (see macro_steps),
-    shortest first, then smallest, then by term_key."""
-    if calc_only:
-        return []
-    edges = list(macro_steps(theory, u, value_pool, term_pool, limits, size_cap,
-                             pool_normal, draws))
-    edges.sort(key=lambda e: (e[1], e[0].size, term_key(e[0])))
-    return edges
+def search_expander(
+    theory: CETheory,
+    limits: SearchLimits,
+    goal_terms: Iterable[Term],
+    pool_terms: Iterable[Term],
+    size_cap: Optional[int],
+    value_pool: Optional[dict[Sort, tuple]] = None,
+) -> Callable[[Term], Iterator[tuple[Term, int, RuleCandidate]]]:
+    """Set up one search and return its expander: u -> the macro edges (see
+    macro_edges) of the calc-normal u within size_cap, in candidate order.
+
+    The value pool is value_pool, or else default_value_pool(theory,
+    goal_terms) widened by constraint solutions over limits.solve_box: an
+    explicit value pool draws from the pool alone.  The term pool is
+    term_candidate_pool(pool_terms).  Every expansion is one call of
+    rule_step_candidates, and all of them share one memo of draws by redex,
+    which lives as long as the expander.
+    """
+    model = theory.model
+    solve_box = limits.solve_box
+    if value_pool is None:
+        value_pool = default_value_pool(theory, goal_terms)
+    else:
+        solve_box = None
+    term_pool = term_candidate_pool(pool_terms)
+    pool_normal = calc_normal_pool(model, term_pool)
+    draws: dict[Term, tuple[Draw, ...]] = {}
+
+    def expand(u: Term) -> Iterator[tuple[Term, int, RuleCandidate]]:
+        cands = rule_step_candidates(theory, u, value_pool, term_pool, solve_box,
+                                     limits.cap_per_redex, draws=draws)
+        return macro_edges(model, u, cands, size_cap, pool_normal)
+
+    return expand
+
+
+def _shortest_first(edges: Iterable[tuple[Term, int, RuleCandidate]]) -> list:
+    """Macro edges by trace length, then result size, then term_key."""
+    return sorted(edges, key=lambda e: (e[1], e[0].size, term_key(e[0])))
 
 
 def conversion_search(
@@ -660,13 +664,6 @@ def conversion_search(
         raise CEError("conversion endpoints must have the same sort")
     limits = limits or SearchLimits()
     model = theory.model
-    explicit_pool = value_pool is not None
-    if value_pool is None:
-        value_pool = default_value_pool(theory, [s, t])
-    if explicit_pool:
-        limits = SearchLimits(limits.bound, limits.max_term_growth,
-                              limits.max_nodes, None, limits.cap_per_redex)
-
     s0, prefix = calc_trace(model, s)
     t0, post = calc_trace(model, t)
     suffix = [st.reversed_() for st in reversed(post)]
@@ -675,12 +672,12 @@ def conversion_search(
         return None
     if s0 == t0:
         return tuple(prefix + suffix)
+    if calc_only:  # no rule step: the calc normal forms differ
+        return None
     budget = limits.bound - fixed
-
-    term_pool = term_candidate_pool([s0, t0], seed_terms)
-    pool_normal = calc_normal_pool(model, term_pool)
-    size_cap = max(s0.size, t0.size) + limits.max_term_growth
-    draws: dict[Term, tuple[Draw, ...]] = {}  # both sides draw with the same pools
+    # both sides draw with the same pools, from one memo
+    expand = search_expander(theory, limits, [s, t], [s0, t0, *seed_terms],
+                             max(s0.size, t0.size) + limits.max_term_growth, value_pool)
 
     # dist[side][term] = (cost, parent, edge); the frontier is ordered by
     # cost + term size (greedy toward small meeting terms), which is the
@@ -727,8 +724,7 @@ def conversion_search(
             continue
         # the first meet under this deterministic expansion order is the
         # result; within one expansion the best of its meets wins
-        for v, n, edge in _successors(theory, u, value_pool, term_pool, limits,
-                                      calc_only, size_cap, pool_normal, draws):
+        for v, n, edge in _shortest_first(expand(u)):
             c2 = cost + n
             if c2 > budget:
                 continue
@@ -775,22 +771,10 @@ def reachable_terms(
 ) -> dict[Term, ConversionTrace]:
     """Breadth-first set of terms convertible from start within depth macro steps."""
     limits = limits or SearchLimits()
-    model = theory.model
-    if value_pool is None:
-        value_pool = default_value_pool(theory, [start])
-    else:
-        limits = SearchLimits(limits.bound, limits.max_term_growth,
-                              limits.max_nodes, None, limits.cap_per_redex)
-    term_pool = term_candidate_pool([start], seed_terms)
-    pool_normal = calc_normal_pool(model, term_pool)
-    s0, prefix = calc_trace(model, start)
-    size_cap = s0.size + limits.max_term_growth
-    draws: dict[Term, tuple[Draw, ...]] = {}
-    return breadth_first(
-        s0, prefix,
-        lambda u: _successors(theory, u, value_pool, term_pool, limits, False,
-                              size_cap, pool_normal, draws),
-        depth, width)
+    s0, prefix = calc_trace(theory.model, start)
+    expand = search_expander(theory, limits, [start], [start, *seed_terms],
+                             s0.size + limits.max_term_growth, value_pool)
+    return dict(breadth_first(s0, prefix, lambda u: _shortest_first(expand(u)), depth, width))
 
 
 def breadth_first(
@@ -799,22 +783,22 @@ def breadth_first(
     edges: Callable[[Term], Iterable[tuple[Term, int, RuleCandidate]]],
     depth: int,
     width: int,
-) -> dict[Term, ConversionTrace]:
+) -> Iterator[tuple[Term, ConversionTrace]]:
     """The terms reached from the calc-normal s0 within depth macro edges,
-    each with its trace (prefix, then the steps of each edge), in breadth-first
-    order of edges(u), stopping once width terms are reached."""
-    out: dict[Term, ConversionTrace] = {s0: tuple(prefix)}
+    each with its trace (prefix, then the steps of each edge), yielded as
+    they are reached in breadth-first order of edges(u), s0 first; stops
+    once width terms are reached."""
+    reached: dict[Term, ConversionTrace] = {s0: tuple(prefix)}
+    yield s0, reached[s0]
     frontier = [s0]
     for _ in range(depth):
         nxt = []
         for u in frontier:
             for v, _, edge in edges(u):
-                if v not in out:
-                    out[v] = out[u] + edge.steps()
+                if v not in reached:
+                    trace = reached[v] = reached[u] + edge.steps()
+                    yield v, trace
+                    if len(reached) >= width:
+                        return
                     nxt.append(v)
-                    if len(out) >= width:
-                        return out
         frontier = nxt
-        if not frontier:
-            break
-    return out

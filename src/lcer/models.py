@@ -269,13 +269,7 @@ class UnderlyingModel:
         return out
 
     def calc_normalize(self, t: Term) -> Term:
-        if isinstance(t, Variable):
-            return t
-        args = tuple(self.calc_normalize(a) for a in t.args)
-        u = t if args == t.args else trusted_app(t.fun, args)
-        if self.is_calc_redex(u):
-            return self.interpret_term(u)
-        return u
+        return self.calc_normalize_steps(t)[0]
 
     def calc_normalize_steps(self, t: Term) -> tuple[Term, list[tuple[Position, Term, Term]]]:
         """Normal form plus the innermost-leftmost contraction sequence.

@@ -10,7 +10,9 @@ The two proof steps are `proof_search`, which yields every proof verdict in
 that order, each only when asked for: `check_ce_validity` takes the first,
 and `proofs.prove_heuristic` turns them into derivations until one closes,
 so validate and prove share one proving path.  Symbolic rewriting draws its
-own instantiations (`_symbolic_candidates`) but builds its edges with
+own rule steps at each redex (`_symbolic_draws`) and plugs them into the
+searches' one loop over positions, `equations.position_candidates`, with one
+memo for both sides of a goal; it builds its edges with
 `equations.macro_edges` and its reachable sets with `equations.breadth_first`,
 as `reachable_terms` does.
 """
@@ -18,7 +20,7 @@ as `reachable_terms` does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .equations import (
@@ -26,13 +28,13 @@ from .equations import (
     ConstrainedEquation,
     ConversionTrace,
     Draw,
-    RuleCandidate,
     SearchLimits,
     breadth_first,
     calc_trace,
     conversion_search,
     default_value_pool,
     macro_edges,
+    position_candidates,
 )
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, Verdict, check_validity, valid, unknown
@@ -44,7 +46,6 @@ from .terms import (
     decompose_differences,
     fresh_var,
     match,
-    positions_of,
     term_key,
     theory_over,
     vars_of,
@@ -70,52 +71,49 @@ def _some_satisfying(theory: CETheory, ce: ConstrainedEquation,
     return sigma
 
 
-def _symbolic_candidates(theory: CETheory, t: Term, X: frozenset[Variable],
-                         phi: Term, budget: OracleBudget,
-                         value_pool) -> list[RuleCandidate]:
-    """The rule steps out of the open term t: equation variables may bind
-    theory terms over the goal's logical variables, provided the goal
-    constraint entails the instantiated equation constraint.  Each step is
-    simulatable by Weakening over TheoryInstance over Rule."""
+def _symbolic_draws(theory: CETheory, sub: Term, X: frozenset[Variable],
+                    phi: Term, budget: OracleBudget, value_pool) -> tuple[Draw, ...]:
+    """The rule steps at the redex sub of an open term: equation variables
+    may bind theory terms over the goal's logical variables X, provided the
+    goal constraint phi entails the instantiated equation constraint.  Each
+    step is simulatable by Weakening over TheoryInstance over Rule."""
     model = theory.model
     out = []
-    for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
-        for side in theory.sides_for(sub):
-            eq = theory.equations[side.eq_index]
-            base = match(side.src, sub)
-            if base is None:
-                continue
-            if any(x in base and not theory_over(base[x], X)
-                   for x in eq.logical_vars):
-                continue
-            unbound = sorted(
-                (eq.logical_vars | vars_of(side.dst)) - set(base),
-                key=lambda v: v.name)
-            # draw the goal's own variables or pool values for what matching
-            # left unbound
-            domains = []
-            for x in unbound:
-                cands: list[Term] = [g for g in sorted(X, key=lambda v: v.name)
-                                     if g.sort == x.sort]
-                for e in value_pool.get(x.sort, ())[:8]:
-                    cands.append(model.value_term(x.sort, e))
-                if not cands:
-                    break
-                domains.append(cands[:6])
-            else:
-                for combo in itertools.product(*domains):
-                    sigma = dict(base)
-                    sigma.update(zip(unbound, combo))
-                    inst_phi = apply_subst(sigma, eq.constraint)
-                    if not vars_of(inst_phi) <= X:
-                        continue
-                    if not check_validity(model, model.implies(phi, inst_phi),
-                                          budget).is_valid:
-                        continue
-                    out.append(RuleCandidate(t, pos, sub, Draw(
-                        side, tuple([sigma[x] for x in side.variables]))))
-                    break  # one instantiation per redex keeps the search narrow
-    return out
+    for side in theory.sides_for(sub):
+        eq = theory.equations[side.eq_index]
+        base = match(side.src, sub)
+        if base is None:
+            continue
+        if any(x in base and not theory_over(base[x], X)
+               for x in eq.logical_vars):
+            continue
+        unbound = sorted(
+            (eq.logical_vars | vars_of(side.dst)) - set(base),
+            key=lambda v: v.name)
+        # draw the goal's own variables or pool values for what matching
+        # left unbound
+        domains = []
+        for x in unbound:
+            cands: list[Term] = [g for g in sorted(X, key=lambda v: v.name)
+                                 if g.sort == x.sort]
+            for e in value_pool.get(x.sort, ())[:8]:
+                cands.append(model.value_term(x.sort, e))
+            if not cands:
+                break
+            domains.append(cands[:6])
+        else:
+            for combo in itertools.product(*domains):
+                sigma = dict(base)
+                sigma.update(zip(unbound, combo))
+                inst_phi = apply_subst(sigma, eq.constraint)
+                if not vars_of(inst_phi) <= X:
+                    continue
+                if not check_validity(model, model.implies(phi, inst_phi),
+                                      budget).is_valid:
+                    continue
+                out.append(Draw(side, tuple([sigma[x] for x in side.variables])))
+                break  # one instantiation per redex keeps the search narrow
+    return tuple(out)
 
 
 def is_trivial(theory: CETheory, ce: ConstrainedEquation,
@@ -179,9 +177,7 @@ class ValidityBudgets:
     limits: SearchLimits = field(default_factory=SearchLimits)
 
     def search_limits(self) -> SearchLimits:
-        lim = self.limits
-        return SearchLimits(self.bound, lim.max_term_growth, lim.max_nodes,
-                            lim.solve_box, lim.cap_per_redex)
+        return replace(self.limits, bound=self.bound)
 
 
 @dataclass
@@ -200,32 +196,44 @@ class ValidityStatus:
         return self.kind in ("proved-ground-conversion", "proved-by-triviality")
 
 
+def _symbolic_reachable(theory: CETheory, ce: ConstrainedEquation, budgets: ValidityBudgets
+                        ) -> tuple[dict[Term, ConversionTrace], dict[Term, ConversionTrace]]:
+    """The terms that symbolic rewriting reaches from each side of ce, with
+    their traces.  Steps may instantiate equation variables with theory
+    terms over the goal's logical variables when the goal constraint entails
+    the instance (`_symbolic_draws`); both sides draw from one memo by redex,
+    dropped on return."""
+    model = theory.model
+    pool = default_value_pool(theory, [ce.lhs, ce.rhs])
+    draws: dict[Term, tuple[Draw, ...]] = {}
+
+    def draw(sub: Term) -> tuple[Draw, ...]:
+        return _symbolic_draws(theory, sub, ce.logical_vars, ce.constraint,
+                               budgets.oracle, pool)
+
+    def reachable(start: Term) -> dict[Term, ConversionTrace]:
+        s0, prefix = calc_trace(model, start)
+        return dict(breadth_first(
+            s0, prefix,
+            lambda u: macro_edges(model, u, position_candidates(u, draws, draw), None, True),
+            budgets.rewrite_depth, budgets.rewrite_width))
+
+    return reachable(ce.lhs), reachable(ce.rhs)
+
+
 def proof_search(theory: CETheory, ce: ConstrainedEquation,
                  budgets: ValidityBudgets) -> Iterator[ValidityStatus]:
     """Steps (1) and (2) of check_ce_validity: its proof verdicts for ce, in
     the order it tries them, each computed only when asked for."""
-    model = theory.model
     # (1) closed goals: validity coincides with plain convertibility
     if ce.closed:
         trace = conversion_search(theory, ce.lhs, ce.rhs, budgets.search_limits())
         if trace is not None:
             yield ValidityStatus("proved-ground-conversion", trace=trace)
 
-    # (2) rewrite both sides toward a trivial constrained equation; steps may
-    # instantiate equation variables with theory terms over the goal's
-    # logical variables when the goal constraint entails the instance
-    pool = default_value_pool(theory, [ce.lhs, ce.rhs])
+    # (2) rewrite both sides toward a trivial constrained equation
     X, phi = ce.logical_vars, ce.constraint
-
-    def reachable(start: Term) -> dict[Term, ConversionTrace]:
-        s0, prefix = calc_trace(model, start)
-        return breadth_first(
-            s0, prefix,
-            lambda u: macro_edges(model, u, _symbolic_candidates(
-                theory, u, X, phi, budgets.oracle, pool), None, True),
-            budgets.rewrite_depth, budgets.rewrite_width)
-
-    left, right = reachable(ce.lhs), reachable(ce.rhs)
+    left, right = _symbolic_reachable(theory, ce, budgets)
     pairs = sorted(
         ((ls, rs) for ls in left for rs in right),
         key=lambda p: (len(left[p[0]]) + len(right[p[1]]),

@@ -167,6 +167,15 @@ def test_search_refuses_infinite_models(inconsistent):
         search_counter_model(inconsistent.theory, goal, 1, 1)
 
 
+@pytest.mark.parametrize("name, text", [("refute_bool", "(algebra)"),
+                                        ("inconsistent", "(algebra (carrier Int 0 #i))")])
+def test_algebra_without_a_model_carrier_is_an_algebra_error(request, name, text):
+    # the default fill of fresh entries must not trip over the missing carrier
+    theory = request.getfixturevalue(name).theory
+    with pytest.raises(AlgebraError, match="no carrier declared for sort Bool"):
+        parse_algebra(theory, text)
+
+
 def test_algebra_round_trip(refute_bool, boolcm):
     text = algebra_text(boolcm)
     again = parse_algebra(refute_bool.theory, text)
@@ -278,3 +287,47 @@ def test_conversion_endpoints_coincide_in_verified_models():
             assert replay_trace(theory, start, trace) == end
             assert alg.eval(start, {}) == alg.eval(end, {})
         checked += 1
+
+
+# check_value_consistency's answers where the width cut decides them,
+# recorded before the sweep moved onto equations.breadth_first: (depth,
+# width) -> (left, right, trace as (eq_index, direction, from, to)), or None
+# for consistent
+_ORDERED_TEXT = """(theory (model lia) (fun a () Int) (fun b () Int)
+  (eq (pi) (constraint true) b 0)
+  (eq (pi) (constraint true) a 0)
+  (eq (pi) (constraint true) b 1)
+  (eq (pi) (constraint true) a 2))"""
+_ZERO_ONE_BY_A = ("0", "1", [(0, "rl", "0", "a"), (1, "lr", "a", "1")])
+_ZERO_ONE_BY_B = ("0", "1", [(0, "rl", "0", "b"), (2, "lr", "b", "1")])
+_ONE_ZERO_BY_B = ("1", "0", [(2, "rl", "1", "b"), (0, "lr", "b", "0")])
+_CONSISTENCY_AT_WIDTH = {
+    "inconsistent.th": {
+        (1, 4000): None, (2, 1): None, (2, 2): None, (2, 3): _ZERO_ONE_BY_A,
+        (2, 4): _ZERO_ONE_BY_A, (8, 2): None, (8, 3): _ZERO_ONE_BY_A,
+    },
+    "group.th": {(d, w): None for d in (1, 2, 8) for w in (1, 2, 3, 5, 50)},
+    "ordered": {
+        (1, 4000): None, (2, 2): None, (2, 3): _ONE_ZERO_BY_B, (2, 4): _ZERO_ONE_BY_B,
+        (3, 3): _ONE_ZERO_BY_B, (3, 4000): _ZERO_ONE_BY_B,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSISTENCY_AT_WIDTH))
+def test_value_consistency_at_small_widths(name):
+    text = _ORDERED_TEXT if name == "ordered" else load_fixture(name)
+    theory = parse_theory(text).theory
+    for (depth, width), want in _CONSISTENCY_AT_WIDTH[name].items():
+        rep = check_value_consistency(theory, depth=depth, width=width)
+        assert rep.depth == depth
+        if want is None:
+            assert rep.consistent and rep.trace is None, (depth, width)
+            continue
+        left, right, steps = want
+        assert not rep.consistent, (depth, width)
+        assert (str(rep.left), str(rep.right)) == (left, right)
+        assert [(st.kind, st.position) for st in rep.trace] == [("rule", ())] * len(steps)
+        assert [(st.eq_index, st.direction, str(st.replaced), str(st.result))
+                for st in rep.trace] == steps
+        assert replay_trace(theory, rep.left, rep.trace) == rep.right

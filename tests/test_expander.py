@@ -1,10 +1,11 @@
 """The frontier expander against a reference that builds every rule step in
 full, normalizes the whole result with calc_trace and then filters by size.
 
-The expander (equations.macro_steps, sorted by equations._successors) prunes
-by size before building, normalizes only the rewritten spine and builds an
-edge's trace steps only when asked; it must give the same edges, with the same
-traces once built, in the same order.
+The expander (the one that equations.search_expander sets up for a search)
+prunes by size before building, normalizes only the rewritten spine and
+builds an edge's trace steps only when asked; it must give the same edges,
+with the same traces once built, in the same order once sorted as the
+searches sort them.
 """
 
 import random
@@ -16,7 +17,6 @@ from lcer.equations import (
     RuleCandidate,
     SearchLimits,
     TraceStep,
-    _successors,
     calc_normal_pool,
     calc_trace,
     conversion_search,
@@ -24,6 +24,7 @@ from lcer.equations import (
     macro_edges,
     replay_trace,
     rule_step_candidates,
+    search_expander,
     term_candidate_pool,
     term_key,
 )
@@ -60,17 +61,19 @@ def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
     return edges
 
 
-def expand(theory, u, value_pool, term_pool, limits, size_cap, draws=None):
-    """The expander's edges with their trace steps built, each checked
-    against the step count that the sort and the search use.  draws is a
-    search's memo of rule steps by redex (None: draw afresh)."""
+def expand(theory, u, goal_terms, pool_terms, limits, size_cap, expander=None):
+    """The edges of u with their trace steps built, shortest first as the
+    searches take them, each checked against the step count that the sort
+    and the search use.  The expander is a fresh search's, set up over
+    goal_terms (the default value pool) and pool_terms (the term pool),
+    unless one is given."""
+    expander = expander or search_expander(theory, limits, goal_terms, pool_terms, size_cap)
     edges = []
-    for v, n, edge in _successors(theory, u, value_pool, term_pool, limits, False,
-                                  size_cap, calc_normal_pool(theory.model, term_pool),
-                                  draws):
+    for v, n, edge in expander(u):
         steps = edge.steps()
         assert n == len(steps), (v, steps)
         edges.append((v, steps))
+    edges.sort(key=lambda e: (len(e[1]), e[0].size, term_key(e[0])))
     return edges
 
 
@@ -130,7 +133,7 @@ def variables_for(theory):
 
 def _assert_same(theory, u, value_pool, term_pool, limits, caps):
     for cap in caps:
-        got = expand(theory, u, value_pool, term_pool, limits, cap)
+        got = expand(theory, u, [u], [u], limits, cap)
         want = reference_successors(theory, u, value_pool, term_pool, limits, cap)
         assert got == want, (u, cap)
 
@@ -172,7 +175,7 @@ def test_value_under_a_theory_operator_is_contracted(lists):
     value_pool = default_value_pool(theory, [u])
     term_pool = term_candidate_pool([u])
     limits = SearchLimits()
-    edges = expand(theory, u, value_pool, term_pool, limits, u.size)
+    edges = expand(theory, u, [u], [u], limits, u.size)
     assert edges == reference_successors(theory, u, value_pool, term_pool, limits, u.size)
     one = parse_term(theory, "1")
     hit = [steps for v, steps in edges if v == one]
@@ -191,7 +194,7 @@ def test_value_in_a_deep_context(lists):
     value_pool = default_value_pool(theory, [u])
     term_pool = term_candidate_pool([u])
     limits = SearchLimits(cap_per_redex=4)
-    edges = expand(theory, u, value_pool, term_pool, limits, None)
+    edges = expand(theory, u, [u], [u], limits, None)
     assert edges == reference_successors(theory, u, value_pool, term_pool, limits, None)
     two = [steps for v, steps in edges
            if v == parse_term(theory, "nth(cons(x, nil), *(2, length(xs)))",
@@ -210,7 +213,7 @@ def test_results_exactly_at_the_size_cap(group):
     sizes = sorted({v.size for v, _ in uncapped})
     assert len(sizes) > 2
     for cap in sizes:
-        got = expand(theory, u, value_pool, term_pool, limits, cap)
+        got = expand(theory, u, [u], [u], limits, cap)
         assert got == reference_successors(theory, u, value_pool, term_pool, limits, cap)
         assert any(v.size == cap for v, _ in got)
         assert all(v.size <= cap for v, _ in got)
@@ -229,9 +232,9 @@ def test_non_calc_normal_seed_in_the_term_pool(group):
     value_pool = default_value_pool(theory, [u])
     limits = SearchLimits()
     for cap in (None, 7, 8, 9):
-        got = expand(theory, u, value_pool, term_pool, limits, cap)
+        got = expand(theory, u, [u], [u, seed], limits, cap)
         assert got == reference_successors(theory, u, value_pool, term_pool, limits, cap)
-    got = expand(theory, u, value_pool, term_pool, limits, 8)
+    got = expand(theory, u, [u], [u, seed], limits, 8)
     target = parse_term(theory, "op(inv(exp(y, 2)), exp(y, 2))", {"y": G})
     steps = dict(got)[target]
     assert [st.kind for st in steps] == ["rule", "calc", "calc"]
@@ -239,7 +242,7 @@ def test_non_calc_normal_seed_in_the_term_pool(group):
 
 
 
-def test_search_scoped_draws_match_the_reference(group):
+def test_search_scoped_draws_match_the_reference(group, monkeypatch):
     # one memo of rule steps by redex, filled by earlier expansions, serves
     # later ones: inv(x) and x recur in the first term; op(exp(x, 2), exp(x,
     # 3)) recurs in the second, and its rule step to exp(x, +(3, 2)) is not
@@ -253,7 +256,14 @@ def test_search_scoped_draws_match_the_reference(group):
     value_pool = default_value_pool(theory, starts)
     term_pool = term_candidate_pool(starts)
     limits = SearchLimits(cap_per_redex=3)
-    draws = {}
+    memos = []
+
+    def recording(*args, **kwargs):
+        memos.append(kwargs["draws"])
+        return rule_step_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(equations, "rule_step_candidates", recording)
+    expanders = {}  # one search per size cap, each with its own memo
     checked = 0
     for start in starts:
         frontier = [start]
@@ -261,13 +271,17 @@ def test_search_scoped_draws_match_the_reference(group):
             nxt = []
             for u in frontier[:6]:
                 for cap in (None, u.size + 2):
-                    got = expand(theory, u, value_pool, term_pool, limits, cap, draws)
+                    if cap not in expanders:
+                        expanders[cap] = search_expander(theory, limits, starts, starts, cap)
+                    got = expand(theory, u, starts, starts, limits, cap, expanders[cap])
                     assert got == reference_successors(
                         theory, u, value_pool, term_pool, limits, cap), (u, cap)
                     checked += 1
                 nxt += [v for v, _ in got]
             frontier = nxt
     assert checked > 20
+    assert len({id(m) for m in memos}) == len(expanders)
+    draws = memos[0]  # the uncapped search's, which every start expanded into
     assert any(len(d) > 1 for d in draws.values())
 
     # candidates at two positions of one redex share its draws, and each

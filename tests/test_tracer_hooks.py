@@ -44,14 +44,18 @@ def test_one_rule_step_candidates_call_per_expansion(group, monkeypatch):
     s, t = _group_search_endpoints(theory)
 
     expansions = []
-    successors = equations._successors
+    search_expander = equations.search_expander
 
-    def counting(theory, u, *args):
-        if not args[3]:  # calc_only expands nothing
+    def counting(*args):
+        expand = search_expander(*args)
+
+        def counted(u):
             expansions.append(u)
-        return successors(theory, u, *args)
+            return expand(u)
 
-    monkeypatch.setattr(equations, "_successors", counting)
+        return counted
+
+    monkeypatch.setattr(equations, "search_expander", counting)
     tracer = _tracer_module()
     tr = tracer.Tracer()
     original = equations.rule_step_candidates

@@ -1,6 +1,19 @@
+import gc
+from collections import Counter
+
+import lcer.equations as equations
+import lcer.validity as validity
 from lcer.syntax import parse_goal_spec
 from lcer.terms import apply_subst
-from lcer.validity import ValidityBudgets, ValidityStatus, check_ce_validity, is_trivial
+from lcer.validity import (
+    ValidityBudgets,
+    ValidityStatus,
+    check_ce_validity,
+    is_trivial,
+    proof_search,
+)
+
+from tests.conftest import load_theory
 
 
 def test_trivial_forced_by_constraint(absmax):
@@ -83,3 +96,41 @@ def test_closed_goal_is_searched_once(monkeypatch):
     st = check_ce_validity(tf.theory, tf.goals["gf"], ValidityBudgets(max_samples=0))
     assert st == ValidityStatus("unknown",
                                 detail="no satisfying instances in the sample box")
+
+
+def test_symbolic_steps_are_drawn_once_per_redex_per_proof_search(absmax, monkeypatch):
+    # both sides of maxcomm share the redexes x and y, and every term they
+    # reach holds them: one proof_search matches each distinct redex once
+    # per candidate side, however many positions and expansions it recurs at
+    theory = absmax.theory
+    matched = Counter()
+    match = validity.match
+
+    def counting(pattern, subject):
+        matched[subject] += 1
+        return match(pattern, subject)
+
+    monkeypatch.setattr(validity, "match", counting)
+    assert next(proof_search(theory, absmax.goals["maxcomm"], ValidityBudgets()), None) is None
+    assert len(matched) > 10
+    for subject, calls in matched.items():
+        assert calls <= len(theory.sides_for(subject)), subject
+
+
+def test_no_rule_step_outlives_an_abandoned_proof_search():
+    # a theory of its own, so that no earlier search has drawn its steps
+    def alive():
+        return sum(isinstance(o, (equations.RuleCandidate, equations.Draw))
+                   for o in gc.get_objects())
+
+    theory = load_theory("absmax.th").theory
+    goal = parse_goal_spec(theory, "abs(x)", "x", ">=(x, 0)", "x")
+    gc.collect()
+    before = alive()
+    search = proof_search(theory, goal, ValidityBudgets())
+    assert next(search).kind == "proved-by-triviality"
+    gc.collect()
+    assert alive() == before  # suspended at its first gap, the memo is gone
+    del search
+    gc.collect()
+    assert alive() == before
