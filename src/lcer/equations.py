@@ -19,13 +19,18 @@ anything is built, so the size cap drops it before it costs a term.  An
 edge's trace steps are built only when read (`RuleCandidate.steps`): a
 search builds them only along the path it returns.
 
-The rule steps at a position depend only on the redex there (given the
-pools, box and cap of a search), and most positions a search expands hold a
-redex it has met before.  So each search owns one memo from redex to its
-rule steps (`Draw`s), made when the search is set up and dropped when it
-ends: a redex is matched and instantiated once per search, and every
-candidate where it recurs shares its draws' instantiated side, that side's
-calc normal form and its size.  Per edge only the rebuilt spine is left.
+The rule steps at a position depend only on the redex there and on the
+search's draw context: its value pool, solve box and cap per redex, and its
+term pool on the sorts that term variables of equation sides draw from.
+Most positions a search expands hold a redex it has met before, so rule
+steps are kept in a memo from redex to its `Draw`s: a redex is matched and
+instantiated once per memo, and every candidate where it recurs shares its
+draws' instantiated side, that side's calc normal form and its size.  Per
+edge only the rebuilt spine is left.  A search owns one memo, made when it
+is set up and dropped when it ends, unless its caller hands it `draw_memos`,
+a dict from draw context to memo that the caller owns: then every search
+with the same draw context shares one memo (`validity.check_ce_validity`
+passes one to all the searches of its samples and drops it on return).
 """
 
 from __future__ import annotations
@@ -166,6 +171,9 @@ class CETheory:
                             for direction in ("lr", "rl"))
         # (root symbol name or None for a variable, sort) -> sides_for's answer
         self._matching: dict[tuple[Optional[str], Sort], tuple[_Side, ...]] = {}
+        # the sorts that rule steps draw from a term pool, in side order
+        self.term_extra_sorts = tuple(dict.fromkeys(
+            x.sort for side in self._sides for x in side.term_extras))
 
     def sides_for(self, t: Term) -> tuple[_Side, ...]:
         """The sides whose source can match t: of t's sort, and a variable or
@@ -299,14 +307,14 @@ class Draw:
     the substitution that binds side.variables to `values` in order (the
     match of the source extended by the drawn instantiation).
 
-    A search draws the rule steps of each distinct redex once (the memo of
-    `position_candidates`) and every candidate at every position and
-    expansion where the redex recurs shares them, so the instantiated
+    The rule steps of each distinct redex are drawn once per memo (of
+    `position_candidates`) and every candidate at every position, expansion
+    and search where the redex recurs shares them, so the instantiated
     destination side (`replacement`) and its calculation normal form
     (`normal`) are each built at most once, and only when first read; `size`
-    is the size of `replacement`, known without building it.  A search keeps
-    every draw it makes until it returns, so a draw holds its bindings as a
-    tuple, not a dict.
+    is the size of `replacement`, known without building it.  A memo keeps
+    every draw made into it until its owner drops it, so a draw holds its
+    bindings as a tuple, not a dict.
     """
 
     __slots__ = ("side", "values", "size", "_replacement", "_normal")
@@ -603,6 +611,9 @@ def macro_edges(
             yield v, 1 + len(cand.calc), cand
 
 
+DrawMemos = dict[tuple, dict[Term, tuple[Draw, ...]]]
+
+
 def search_expander(
     theory: CETheory,
     limits: SearchLimits,
@@ -610,6 +621,7 @@ def search_expander(
     pool_terms: Iterable[Term],
     size_cap: Optional[int],
     value_pool: Optional[dict[Sort, tuple]] = None,
+    draw_memos: Optional[DrawMemos] = None,
 ) -> Callable[[Term], Iterator[tuple[Term, int, RuleCandidate]]]:
     """Set up one search and return its expander: u -> the macro edges (see
     macro_edges) of the calc-normal u within size_cap, in candidate order.
@@ -618,8 +630,10 @@ def search_expander(
     goal_terms) widened by constraint solutions over limits.solve_box: an
     explicit value pool draws from the pool alone.  The term pool is
     term_candidate_pool(pool_terms).  Every expansion is one call of
-    rule_step_candidates, and all of them share one memo of draws by redex,
-    which lives as long as the expander.
+    rule_step_candidates, and all of them share one memo of draws by redex.
+    With draw_memos None the memo is the search's own and lives as long as
+    the expander; otherwise it is draw_memos' memo for this search's draw
+    context, shared with every other search given the same dict and context.
     """
     model = theory.model
     solve_box = limits.solve_box
@@ -629,7 +643,13 @@ def search_expander(
         solve_box = None
     term_pool = term_candidate_pool(pool_terms)
     pool_normal = calc_normal_pool(model, term_pool)
-    draws: dict[Term, tuple[Draw, ...]] = {}
+    if draw_memos is None:
+        draws: dict[Term, tuple[Draw, ...]] = {}
+    else:
+        # everything _draws_at reads but the redex
+        context = (solve_box, limits.cap_per_redex, tuple(value_pool.items()),
+                   tuple(term_pool.get(s, ()) for s in theory.term_extra_sorts))
+        draws = draw_memos.setdefault(context, {})
 
     def expand(u: Term) -> Iterator[tuple[Term, int, RuleCandidate]]:
         cands = rule_step_candidates(theory, u, value_pool, term_pool, solve_box,
@@ -652,6 +672,7 @@ def conversion_search(
     value_pool: Optional[dict[Sort, tuple]] = None,
     seed_terms: Iterable[Term] = (),
     calc_only: bool = False,
+    draw_memos: Optional[DrawMemos] = None,
 ) -> Optional[ConversionTrace]:
     """Search for a conversion trace of length <= limits.bound, or None.
 
@@ -659,6 +680,9 @@ def conversion_search(
     documented order of (steps + term size) with a fixed term order breaking
     ties; the returned trace is the first meeting within the bound under
     that order, which need not be the shortest.
+
+    draw_memos, if given, is the caller's dict of memos of draws by draw
+    context (see search_expander); None draws with a memo of this search.
     """
     if sort_of(s) != sort_of(t):
         raise CEError("conversion endpoints must have the same sort")
@@ -677,7 +701,8 @@ def conversion_search(
     budget = limits.bound - fixed
     # both sides draw with the same pools, from one memo
     expand = search_expander(theory, limits, [s, t], [s0, t0, *seed_terms],
-                             max(s0.size, t0.size) + limits.max_term_growth, value_pool)
+                             max(s0.size, t0.size) + limits.max_term_growth, value_pool,
+                             draw_memos)
 
     # dist[side][term] = (cost, parent, edge); the frontier is ordered by
     # cost + term size (greedy toward small meeting terms), which is the

@@ -15,6 +15,15 @@ searches' one loop over positions, `equations.position_candidates`, with one
 memo for both sides of a goal; it builds its edges with
 `equations.macro_edges` and its reachable sets with `equations.breadth_first`,
 as `reachable_terms` does.
+
+Step (3) runs one conversion search per sample, and the samples of one goal
+mostly share their redexes and their draw context (see `equations`).  So
+`check_ce_validity` owns one dict of memos of draws by draw context, hands it
+to every sampled search and drops it on return: a redex is matched and
+instantiated once per call and draw context, not once per sample.  A sample
+whose value or term pool differs (a value outside the default pool, say)
+gets a memo of its own.  Only exact draws are shared, so traces and verdicts
+are those of searches with memos of their own.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .equations import (
     ConstrainedEquation,
     ConversionTrace,
     Draw,
+    DrawMemos,
     SearchLimits,
     breadth_first,
     calc_trace,
@@ -252,7 +262,11 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
     for status in proof_search(theory, ce, budgets):
         return status
 
-    # (3) sampling: evidence only
+    # (3) sampling: evidence only; the searches share memos of draws by draw
+    # context, dropped on return
+    limits = budgets.search_limits()
+    closed = ce.closed  # the one, empty, sample is the goal step (1) searched in vain
+    draw_memos: DrawMemos = {}
     count = 0
     for sigma in enumerate_satisfying(model, ce.logical_vars, ce.constraint,
                                       box=budgets.box):
@@ -260,12 +274,12 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
         if count > budgets.max_samples:
             count -= 1
             break
-        if ce.closed:  # the one, empty, sample is the goal step (1) searched in vain
+        if closed:
             trace = None
         else:
-            inst_l = apply_subst(sigma, ce.lhs)
-            inst_r = apply_subst(sigma, ce.rhs)
-            trace = conversion_search(theory, inst_l, inst_r, budgets.search_limits())
+            trace = conversion_search(theory, apply_subst(sigma, ce.lhs),
+                                      apply_subst(sigma, ce.rhs), limits,
+                                      draw_memos=draw_memos)
         if trace is None:
             return ValidityStatus("no-conversion-within-bound",
                                   failing_sample=sigma,

@@ -1,8 +1,13 @@
 import gc
+import random
 from collections import Counter
+
+import pytest
 
 import lcer.equations as equations
 import lcer.validity as validity
+from lcer.equations import default_value_pool
+from lcer.models import enumerate_satisfying
 from lcer.syntax import parse_goal_spec
 from lcer.terms import apply_subst
 from lcer.validity import (
@@ -14,6 +19,7 @@ from lcer.validity import (
 )
 
 from tests.conftest import load_theory
+from tests.genrandom import finite_theory, random_equation
 
 
 def test_trivial_forced_by_constraint(absmax):
@@ -132,5 +138,128 @@ def test_no_rule_step_outlives_an_abandoned_proof_search():
     gc.collect()
     assert alive() == before  # suspended at its first gap, the memo is gone
     del search
+    gc.collect()
+    assert alive() == before
+
+
+def _shared_and_reference(theory, ce, budgets, monkeypatch):
+    """check_ce_validity as it is, with its sampled searches sharing memos of
+    draws, and the reference: the same call with every sampled search
+    drawing from a memo of its own.  Also the number of draw contexts the
+    shared call made memos for."""
+    search = validity.conversion_search
+    given = []
+
+    def recording(*args, **kwargs):
+        if "draw_memos" in kwargs:  # not step (1)'s search of a closed goal
+            given.append(kwargs["draw_memos"])
+        return search(*args, **kwargs)
+
+    def unshared(*args, draw_memos=None, **kwargs):
+        return search(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(validity, "conversion_search", recording)
+        shared = check_ce_validity(theory, ce, budgets)
+    with monkeypatch.context() as m:
+        m.setattr(validity, "conversion_search", unshared)
+        reference = check_ce_validity(theory, ce, budgets)
+    assert all(memos is given[0] for memos in given)  # one dict per call
+    return shared, reference, len(given[0]) if given else 0
+
+
+@pytest.mark.parametrize("name, samples", [("maxcomm", 121), ("absneg", 11), ("absmax", 36)])
+def test_sampled_searches_share_one_memo_per_goal(absmax, monkeypatch, name, samples):
+    # absmax.th's sides draw no terms, and at box 5 every sample value lies
+    # in the default pool's [-8, 8]: all samples have one draw context
+    budgets = ValidityBudgets(bound=8, box=5)
+    shared, reference, contexts = _shared_and_reference(
+        absmax.theory, absmax.goals[name], budgets, monkeypatch)
+    assert shared == reference
+    assert (shared.kind, shared.samples) == ("confirmed-on-samples", samples)
+    assert contexts == 1
+
+
+def test_samples_that_widen_the_value_pool_get_memos_of_their_own(absmax, monkeypatch):
+    # at box 10 the samples x = -10, -9, 9, 10 each add a value to the pool
+    theory, ce = absmax.theory, absmax.goals["absneg"]
+    budgets = ValidityBudgets(bound=8, box=10)
+    shared, reference, contexts = _shared_and_reference(theory, ce, budgets, monkeypatch)
+    assert shared == reference
+    assert (shared.kind, shared.samples) == ("confirmed-on-samples", 21)
+    pools = {tuple(default_value_pool(theory, [apply_subst(sigma, ce.lhs),
+                                               apply_subst(sigma, ce.rhs)]).items())
+             for sigma in enumerate_satisfying(theory.model, ce.logical_vars,
+                                               ce.constraint, box=budgets.box)}
+    assert contexts == len(pools) == 5
+
+
+def test_samples_with_different_term_pools_get_memos_of_their_own(group, monkeypatch):
+    # group.th draws G-terms for the term variable of e -> op(inv(x), x); the
+    # G-subterms of each instance, and so its term pool, differ by sample
+    theory = group.theory
+    assert theory.term_extra_sorts == (theory.signature.sort("G"),)
+    ce = parse_goal_spec(theory, "op(exp(x, n), exp(x, m))", "exp(x, +(n, m))",
+                         "and(>=(n, 0), <=(m, 1))", "n m")
+    budgets = ValidityBudgets(bound=8, box=2)
+    shared, reference, contexts = _shared_and_reference(theory, ce, budgets, monkeypatch)
+    assert shared == reference
+    assert (shared.kind, shared.samples) == ("confirmed-on-samples", 12)
+    assert contexts == 12
+
+
+def test_sampled_corpus_goals_match_the_reference(monkeypatch):
+    # the criterion-11 generator (seed 77) over finite models
+    rng = random.Random(77)
+    budgets = ValidityBudgets(bound=8, box=4, rewrite_depth=2, rewrite_width=60)
+    sampled = 0
+    seen_kinds = set()
+    for _ in range(150):
+        theory = finite_theory(rng.choice(["intmod", "bool"]), rng, n_equations=2)
+        goal = random_equation(theory, rng)
+        shared, reference, contexts = _shared_and_reference(theory, goal, budgets, monkeypatch)
+        assert shared == reference, goal
+        if contexts:
+            sampled += 1
+            seen_kinds.add(shared.kind)
+    assert sampled > 20
+    assert seen_kinds == {"confirmed-on-samples", "no-conversion-within-bound"}
+
+
+def test_maxcomm_matches_each_redex_once_per_side_per_call(absmax, monkeypatch):
+    # the 121 sampled searches of maxcomm have one draw context; step (2)'s
+    # symbolic rewriting calls validity's own binding of match, not counted
+    theory = absmax.theory
+    matched = Counter()
+    match = equations.match
+
+    def counting(pattern, subject):
+        matched[subject] += 1
+        return match(pattern, subject)
+
+    monkeypatch.setattr(equations, "match", counting)
+    st = check_ce_validity(theory, absmax.goals["maxcomm"], ValidityBudgets(bound=8, box=5))
+    assert (st.kind, st.samples) == ("confirmed-on-samples", 121)
+    assert len(matched) > 100
+    for subject, calls in matched.items():
+        assert calls <= len(theory.sides_for(subject)), subject
+
+
+@pytest.mark.parametrize("bound, kind", [
+    (8, "confirmed-on-samples"),
+    # x = 0 converts, x = 1 needs more than two steps: the call returns early
+    (2, "no-conversion-within-bound"),
+])
+def test_no_rule_step_outlives_a_validity_check(bound, kind):
+    # a theory of its own, so that no earlier search has drawn its steps
+    def alive():
+        return sum(isinstance(o, (equations.RuleCandidate, equations.Draw))
+                   for o in gc.get_objects())
+
+    tf = load_theory("absmax.th")
+    gc.collect()
+    before = alive()
+    st = check_ce_validity(tf.theory, tf.goals["absneg"], ValidityBudgets(bound=bound, box=2))
+    assert st.kind == kind
     gc.collect()
     assert alive() == before
