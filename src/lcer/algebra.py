@@ -61,6 +61,12 @@ class FiniteCEAlgebra:
     def is_underlying(self, sort: Sort, elem: object) -> bool:
         return sort.kind == THEORY and self.theory.model.element_in_carrier(sort, elem)
 
+    def model_decides(self, f: FunSymbol, args: tuple) -> bool:
+        """Whether f on args is the underlying model's, not a table's: f is a
+        theory symbol and every argument is underlying."""
+        return f.kind == THEORY and all(
+            self.is_underlying(s, a) for s, a in zip(f.arg_sorts, args))
+
     def underlying_part(self, sort: Sort) -> tuple:
         return tuple(e for e in self.carriers[sort] if self.is_underlying(sort, e))
 
@@ -73,7 +79,7 @@ class FiniteCEAlgebra:
             if f.result_sort not in self.carriers:
                 continue  # validate reports the missing carrier
             for combo in itertools.product(*(self.carriers.get(s, ()) for s in f.arg_sorts)):
-                if not all(self.is_underlying(s, e) for s, e in zip(f.arg_sorts, combo)):
+                if not self.model_decides(f, combo):
                     table.setdefault(combo, self.carriers[f.result_sort][0])
 
     def validate(self) -> None:
@@ -114,8 +120,7 @@ class FiniteCEAlgebra:
                     f"value {t.fun.name} is outside the declared carrier slice")
             return t.fun.value
         args = tuple(self.eval(a, rho) for a in t.args)
-        if t.fun.kind == THEORY and all(
-                self.is_underlying(s, a) for s, a in zip(t.fun.arg_sorts, args)):
+        if self.model_decides(t.fun, args):
             result = self.theory.model.interp[t.fun.name](*args)
             if result not in self.carriers[t.fun.result_sort]:
                 raise AlgebraError(
@@ -202,8 +207,7 @@ class _Partial:
         if t.fun.is_value:
             return t.fun.value
         args = tuple(self.eval(a, rho) for a in t.args)
-        if t.fun.kind == THEORY and all(
-                alg.is_underlying(s, a) for s, a in zip(t.fun.arg_sorts, args)):
+        if alg.model_decides(t.fun, args):
             return alg.theory.model.interp[t.fun.name](*args)
         key = (t.fun.name, args)
         if key not in self.assignment:
@@ -357,8 +361,7 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
         return reps[sort][e]
 
     def lookup(f: FunSymbol, combo: tuple) -> object:
-        if f.kind == THEORY and all(
-                alg.is_underlying(s, e) for s, e in zip(f.arg_sorts, combo)):
+        if alg.model_decides(f, combo):
             return alg.theory.model.interp[f.name](*combo)
         return alg.tables[f.name][combo]
 
@@ -385,8 +388,7 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
     for f in symbols:
         table: dict[tuple, object] = {}
         for combo in itertools.product(*(new_carriers[s] for s in f.arg_sorts)):
-            if f.kind == THEORY and all(
-                    alg.is_underlying(s, e) for s, e in zip(f.arg_sorts, combo)):
+            if alg.model_decides(f, combo):
                 continue
             table[combo] = rep(f.result_sort, lookup(f, combo))
         if table:
@@ -518,8 +520,7 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
                 if not has_element(carriers.get(s, ()), e):
                     raise ParseError(f"element {e} is not in the carrier of {s.name}",
                                      entry.line, entry.col)
-            if sym.kind == THEORY and all(
-                    alg.is_underlying(s, e) for s, e in zip(sym.arg_sorts, args)):
+            if alg.model_decides(sym, args):
                 expected = model.interp[sym.name](*args)
                 if expected != result:
                     raise ParseError(

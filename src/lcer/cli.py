@@ -58,6 +58,10 @@ def _subst_json(sigma) -> dict:
     return {x.name: term_text(t) for x, t in sorted(sigma.items(), key=lambda kv: kv[0].name)}
 
 
+def _valuation_json(rho) -> dict:
+    return {v.name: str(e) for v, e in sorted(rho.items(), key=lambda kv: kv[0].name)}
+
+
 def _trace_json(trace) -> list[dict]:
     out = []
     for st in trace:
@@ -305,8 +309,7 @@ def cmd_refute(args):
         return EXIT_UNKNOWN, {"verdict": "no-counter-model", "bounds": outcome.bounds,
                               "nodes": outcome.nodes}, lines
     alg_text = algebra_text(outcome.algebra)
-    rho = {v.name: str(e) for v, e in sorted(outcome.refuting_valuation.items(),
-                                             key=lambda kv: kv[0].name)}
+    rho = _valuation_json(outcome.refuting_valuation)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(alg_text)
@@ -322,8 +325,7 @@ def cmd_model_check(args):
         alg = parse_algebra(tf.theory, fh.read())
     result = check_is_model(alg)
     if not result.ok:
-        rho = {v.name: str(e) for v, e in sorted(result.valuation.items(),
-                                                 key=lambda kv: kv[0].name)}
+        rho = _valuation_json(result.valuation)
         lines = [f"not a model: equation #{result.eq_index} fails at {json.dumps(rho)}"]
         return EXIT_NO, {"verdict": "not-a-model", "equation": result.eq_index,
                          "valuation": rho}, lines
@@ -339,8 +341,7 @@ def cmd_model_check(args):
             lines.append("goal is valid in this algebra (no refuting valuation)")
             exit_code = EXIT_NO
         else:
-            named = {v.name: str(e) for v, e in sorted(rho.items(),
-                                                       key=lambda kv: kv[0].name)}
+            named = _valuation_json(rho)
             payload["refutes"] = True
             payload["valuation"] = named
             lines.append("goal refuted at valuation " + json.dumps(named))

@@ -31,6 +31,13 @@ is set up and dropped when it ends, unless its caller hands it `draw_memos`,
 a dict from draw context to memo that the caller owns: then every search
 with the same draw context shares one memo (`validity.check_ce_validity`
 passes one to all the searches of its samples and drops it on return).
+
+Conversion search is bidirectional best-first with one frontier, a heap of
+(steps + size, side, steps, term_key, term): terms are expanded in the order
+of steps + term size, then the left side before the right, then steps, then
+term_key.  An expansion's edges are pushed as `expand` yields them, unsorted;
+a term reached again at fewer steps is pushed again, and its older entry,
+which sorts after the newer one, is skipped as done.
 """
 
 from __future__ import annotations
@@ -659,11 +666,6 @@ def search_expander(
     return expand
 
 
-def _shortest_first(edges: Iterable[tuple[Term, int, RuleCandidate]]) -> list:
-    """Macro edges by trace length, then result size, then term_key."""
-    return sorted(edges, key=lambda e: (e[1], e[0].size, term_key(e[0])))
-
-
 def conversion_search(
     theory: CETheory,
     s: Term,
@@ -676,10 +678,13 @@ def conversion_search(
 ) -> Optional[ConversionTrace]:
     """Search for a conversion trace of length <= limits.bound, or None.
 
-    Bidirectional best-first search over calc-normal forms, expanding in the
-    documented order of (steps + term size) with a fixed term order breaking
-    ties; the returned trace is the first meeting within the bound under
-    that order, which need not be the shortest.
+    Bidirectional best-first search over calc-normal forms from both
+    endpoints, with one frontier.  Terms are expanded in the order of
+    (steps + term size, left side before right, steps, term_key); an
+    expansion's edges are pushed as expand yields them, unsorted.  The
+    returned trace is the best meet, by (steps, size, term_key), found by
+    the first expansion that meets within the bound, which need not be the
+    shortest trace.
 
     draw_memos, if given, is the caller's dict of memos of draws by draw
     context (see search_expander); None draws with a memo of this search.
@@ -704,41 +709,16 @@ def conversion_search(
                              max(s0.size, t0.size) + limits.max_term_growth, value_pool,
                              draw_memos)
 
-    # dist[side][term] = (cost, parent, edge); the frontier is ordered by
-    # cost + term size (greedy toward small meeting terms), which is the
-    # documented deterministic expansion order
+    # dist[side][term] = (steps, parent, edge), side 0 from s0 and 1 from t0
     dist: list[dict[Term, tuple[int, Optional[Term], Optional[RuleCandidate]]]] = [
         {s0: (0, None, None)}, {t0: (0, None, None)}]
     done: list[set[Term]] = [set(), set()]
-    heaps: list[list] = [[(s0.size, 0, term_key(s0), s0)], [(t0.size, 0, term_key(t0), t0)]]
+    frontier = [(s0.size, 0, 0, term_key(s0), s0), (t0.size, 1, 0, term_key(t0), t0)]
+    heapq.heapify(frontier)
     best: Optional[tuple[int, int, str, Term]] = None
     expanded = 0
-
-    def consider_meet(node: Term) -> None:
-        nonlocal best
-        if node in dist[0] and node in dist[1]:
-            total = dist[0][node][0] + dist[1][node][0]
-            cand = (total, node.size, term_key(node), node)
-            if total <= budget and (best is None or cand < best):
-                best = cand
-
-    consider_meet(s0)
-    while best is None:
-        tops: list[Optional[int]] = []
-        for side in (0, 1):
-            while heaps[side] and heaps[side][0][3] in done[side]:
-                heapq.heappop(heaps[side])
-            tops.append(heaps[side][0][0] if heaps[side] else None)
-        alive = [c for c in tops if c is not None]
-        if not alive:
-            break
-        if tops[0] is None:
-            side = 1
-        elif tops[1] is None:
-            side = 0
-        else:
-            side = 0 if tops[0] <= tops[1] else 1
-        _, cost, _, u = heapq.heappop(heaps[side])
+    while best is None and frontier:
+        _, side, cost, _, u = heapq.heappop(frontier)
         if u in done[side]:
             continue
         done[side].add(u)
@@ -747,42 +727,41 @@ def conversion_search(
             break
         if cost >= budget:
             continue
-        # the first meet under this deterministic expansion order is the
-        # result; within one expansion the best of its meets wins
-        for v, n, edge in _shortest_first(expand(u)):
+        reached, other = dist[side], dist[1 - side]
+        for v, n, edge in expand(u):
             c2 = cost + n
             if c2 > budget:
                 continue
-            old = dist[side].get(v)
+            old = reached.get(v)
             if old is None or c2 < old[0]:
-                dist[side][v] = (c2, u, edge)
-                heapq.heappush(heaps[side], (c2 + v.size, c2, term_key(v), v))
-                consider_meet(v)
+                reached[v] = (c2, u, edge)
+                heapq.heappush(frontier, (c2 + v.size, side, c2, term_key(v), v))
+                if v in other:
+                    total = c2 + other[v][0]
+                    cand = (total, v.size, term_key(v), v)
+                    if total <= budget and (best is None or cand < best):
+                        best = cand
 
     if best is None:
         return None
     meet = best[3]
-
-    fwd: list[TraceStep] = []
-    node = meet
-    while True:
-        cost, parent, edge = dist[0][node]
-        if parent is None:
-            break
-        fwd = list(edge.steps()) + fwd  # type: ignore[union-attr]
-        node = parent
-    bwd: list[TraceStep] = []
-    node = meet
-    while True:
-        cost, parent, edge = dist[1][node]
-        if parent is None:
-            break
-        bwd.extend(st.reversed_() for st in reversed(edge.steps()))  # type: ignore[union-attr]
-        node = parent
-    trace = tuple(prefix + fwd + bwd + suffix)
+    bwd = [st.reversed_() for st in reversed(_path(dist[1], meet))]
+    trace = tuple(prefix + _path(dist[0], meet) + bwd + suffix)
     if len(trace) > limits.bound:
         return None
     return trace
+
+
+def _path(dist: dict[Term, tuple[int, Optional[Term], Optional[RuleCandidate]]],
+          node: Term) -> list[TraceStep]:
+    """The steps from the root of dist's search to node."""
+    steps: list[TraceStep] = []
+    while True:
+        _, parent, edge = dist[node]
+        if parent is None:
+            return steps
+        steps[:0] = edge.steps()  # type: ignore[union-attr]
+        node = parent
 
 
 def reachable_terms(
@@ -799,7 +778,9 @@ def reachable_terms(
     s0, prefix = calc_trace(theory.model, start)
     expand = search_expander(theory, limits, [start], [start, *seed_terms],
                              s0.size + limits.max_term_growth, value_pool)
-    return dict(breadth_first(s0, prefix, lambda u: _shortest_first(expand(u)), depth, width))
+    # shortest edges first: by trace length, then result size, then term_key
+    return dict(breadth_first(s0, prefix, lambda u: sorted(
+        expand(u), key=lambda e: (e[1], e[0].size, term_key(e[0]))), depth, width))
 
 
 def breadth_first(

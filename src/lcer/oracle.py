@@ -14,6 +14,7 @@ backends are complete, so the oracle may answer Unknown.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,9 +117,7 @@ def _refute(model, phi, order, domains, limit=None) -> Optional[Verdict]:
 
 def _exhaustive(model, phi, fv, budget) -> Verdict:
     domains = [model.carrier_elements(v.sort) for v in fv]
-    count = 1
-    for d in domains:
-        count *= len(d)
+    count = math.prod(map(len, domains))
     if count > budget.max_finite:
         return unknown(f"finite enumeration of {count} valuations exceeds budget")
     return _refute(model, phi, fv, domains) or valid()
@@ -126,10 +125,7 @@ def _exhaustive(model, phi, fv, budget) -> Verdict:
 
 def _split_finite(model, phi, finite_vars, budget) -> Verdict:
     domains = [model.carrier_elements(v.sort) for v in finite_vars]
-    count = 1
-    for d in domains:
-        count *= len(d)
-    if count > 4096:
+    if math.prod(map(len, domains)) > 4096:
         return unknown("too many finite-sort cases to split on")
     saw_unknown = None
     for combo in itertools.product(*domains):
@@ -432,8 +428,9 @@ def _linear_in(polykey, var_gen) -> Optional[tuple[int, int]]:
     return a, b
 
 
-def _univariate_decision(model, phi, x: Variable, budget) -> Optional[Verdict]:
-    f = _formula_of(model, phi)
+def _univariate_decision(model, phi, f, x: Variable) -> Optional[Verdict]:
+    """Decide phi, whose canonical formula is f, in its one integer
+    variable x, or None when an atom is not linear in x."""
     atoms: dict = {}
     _atoms_of(f, atoms)
     gen = ("var", x.name, x.sort.name)
@@ -481,7 +478,7 @@ def _integer_pipeline(model, phi, int_vars, budget) -> Verdict:
         return valid()
 
     if len(int_vars) == 1:
-        uni = _univariate_decision(model, phi, int_vars[0], budget)
+        uni = _univariate_decision(model, phi, f, int_vars[0])
         if uni is not None:
             return uni
 
