@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 affirmative, 1 negative/witness, 2 unknown or bound exhausted,
-3 input error, 4 oracle failure.  --format json emits one structured document
-per invocation with a versioned schema field.
+3 input error, 4 oracle failure, 5 internal error.  --format json emits one
+structured document per invocation with a versioned schema field.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ EXIT_NO = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 
 def _subst_json(sigma) -> dict:
@@ -450,6 +451,10 @@ def main(argv=None) -> int:
     except OracleFailure as e:
         code, payload, lines = EXIT_ORACLE, {"verdict": "oracle-failure",
                                              "detail": str(e)}, [f"oracle failure: {e}"]
+    except Exception as e:  # a fault of lcer, not of the input: no traceback
+        detail = f"{type(e).__name__}: {e}"
+        code, payload, lines = EXIT_INTERNAL, {"verdict": "internal-error",
+                                               "detail": detail}, [f"internal error: {detail}"]
     if args.format == "json":
         doc = {"schema": SCHEMA, "command": args.command, "exit_code": code,
                "seed": args.seed}

@@ -33,11 +33,16 @@ with the same draw context shares one memo (`validity.check_ce_validity`
 passes one to all the searches of its samples and drops it on return).
 
 Conversion search is bidirectional best-first with one frontier, a heap of
-(steps + size, side, steps, term_key, term): terms are expanded in the order
+(steps + size, side, steps, term_key, node): terms are expanded in the order
 of steps + term size, then the left side before the right, then steps, then
 term_key.  An expansion's edges are pushed as `expand` yields them, unsorted;
 a term reached again at fewer steps is pushed again, and its older entry,
 which sorts after the newer one, is skipped as done.
+
+Edges are deferred: `macro_edges` gives each target as a splice of its
+parent, and the search keys `dist` and the heap by its term_key, spliced
+from the parent's, and builds it only when it is expanded.  Two terms may
+print alike (a variable and a constant): `spliced_equal` confirms each hit.
 """
 
 from __future__ import annotations
@@ -269,24 +274,16 @@ def calc_trace(model: UnderlyingModel, t: Term) -> tuple[Term, list[TraceStep]]:
 
 # -- value and term candidate pools -------------------------------------------
 
-def literals_in(terms: Iterable[Term], model: UnderlyingModel) -> dict[Sort, set]:
-    out: dict[Sort, set] = {}
-    for t in terms:
-        for u in subterms_of(t):
-            if isinstance(u, App) and u.fun.is_value:
-                out.setdefault(u.fun.result_sort, set()).add(u.fun.value)
-    return out
-
-
 def default_value_pool(theory: CETheory, goal_terms: Iterable[Term] = ()) -> dict[Sort, tuple]:
     """Finite carriers verbatim; for the integers, [-8, 8] plus all literals
     occurring in the theory and the goal."""
     model = theory.model
-    lits = literals_in(
-        [t for eq in theory.equations for t in (eq.lhs, eq.rhs, eq.constraint)],
-        model)
-    for s, vals in literals_in(goal_terms, model).items():
-        lits.setdefault(s, set()).update(vals)
+    lits: dict[Sort, set] = {}
+    for t in itertools.chain([t for eq in theory.equations
+                              for t in (eq.lhs, eq.rhs, eq.constraint)], goal_terms):
+        for u in subterms_of(t):
+            if isinstance(u, App) and u.fun.is_value:
+                lits.setdefault(u.fun.result_sort, set()).add(u.fun.value)
     pool: dict[Sort, tuple] = {}
     for name, sort in model.sorts.items():
         car = model.carriers[sort]
@@ -366,7 +363,7 @@ class RuleCandidate:
     the edge's trace steps from both.
     """
 
-    __slots__ = ("term", "position", "redex", "draw", "calc", "_result")
+    __slots__ = ("term", "position", "redex", "draw", "calc")
 
     def __init__(self, term: Term, position: Position, redex: Term, draw: Draw) -> None:
         self.term = term
@@ -374,7 +371,6 @@ class RuleCandidate:
         self.redex = redex
         self.draw = draw
         self.calc: Sequence[tuple[Position, Term, Term]] = ()
-        self._result: Optional[Term] = None
 
     @property
     def eq_index(self) -> int:
@@ -392,14 +388,7 @@ class RuleCandidate:
 
     @property
     def result(self) -> Term:
-        if self._result is None:
-            self._result = replace_at(self.term, self.position, self.draw.replacement)
-        return self._result
-
-    @property
-    def size(self) -> int:
-        """The size of `result`, computed without building it."""
-        return self.term.size - self.redex.size + self.draw.size
+        return replace_at(self.term, self.position, self.draw.replacement)
 
     def as_step(self) -> TraceStep:
         return TraceStep(self.position, "rule", self.direction, self.eq_index,
@@ -465,18 +454,13 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
                 model, list(side.logical_extras),
                 apply_subst(base, theory.equations[side.eq_index].constraint),
                 value_pool, solve_box, cap_per_redex)
-        term_domains = []
-        for x in side.term_extras:
-            cands = term_pool.get(x.sort, ())
-            if not cands:
-                break
-            term_domains.append(cands)
-        else:
-            matched = tuple([base[x] for x in side.matched])
-            for logical_sigma in assigns:
-                logical = tuple([logical_sigma[x] for x in side.logical_extras])
-                for term_combo in itertools.product(*term_domains):
-                    out.append(Draw(side, matched + logical + term_combo))
+        # no draw where a term variable's sort has no pool term
+        term_domains = [term_pool.get(x.sort, ()) for x in side.term_extras]
+        matched = tuple([base[x] for x in side.matched])
+        for logical_sigma in assigns:
+            logical = tuple([logical_sigma[x] for x in side.logical_extras])
+            for term_combo in itertools.product(*term_domains):
+                out.append(Draw(side, matched + logical + term_combo))
     return tuple(out)
 
 
@@ -552,32 +536,75 @@ def calc_normal_pool(model: UnderlyingModel, term_pool: dict[Sort, tuple[Term, .
                    for t in terms for u in subterms_of(t))
 
 
-def _normalize_spine(model: UnderlyingModel, u: Term, pos: Position,
-                     draw: Draw) -> tuple[Term, list[tuple[Position, Term, Term]]]:
-    """calc_normalize_steps of u with the draw's replacement put at pos, for
-    a calc-normal u.
+def _normalize_spine(model: UnderlyingModel, u: Term, cand: RuleCandidate
+                     ) -> tuple[Position, Term, Term, list[tuple[Position, Term, Term]]]:
+    """calc_normalize_steps of the calc-normal u with cand's replacement put
+    at its position, as (q, sub, w, steps): u with its subterm sub at q swapped for w.
 
     Only the replacement and the ancestors of pos can hold a redex: the
     replacement is normalized first (once per draw), then each ancestor,
-    bottom-up, is contracted if it has become a redex.  This is the
-    innermost-leftmost sequence that calc_trace takes on the whole term.
+    bottom-up, is contracted while it has become a redex (one that has not
+    is no value, so none above it is).  This is the innermost-leftmost
+    sequence that calc_trace takes on the whole term.
     """
-    v, raw = draw.normal(model)
+    pos = cand.position
+    w, raw = cand.draw.normal(model)
     steps = [(pos + p, redex, value) for p, redex, value in raw]
-    ancestors = []
-    node = u
-    for i in pos:
-        ancestors.append(node)
-        node = node.args[i - 1]  # type: ignore[union-attr]
-    for depth in range(len(pos) - 1, -1, -1):
-        parent = ancestors[depth]
-        i = pos[depth] - 1
-        v = trusted_app(parent.fun, parent.args[:i] + (v,) + parent.args[i + 1:])
-        if model.is_calc_redex(v):
-            value = model.interpret_term(v)
-            steps.append((pos[:depth], v, value))
-            v = value
-    return v, steps
+    ancestors = [u]
+    for i in pos[:-1]:
+        ancestors.append(ancestors[-1].args[i - 1])  # type: ignore[union-attr]
+    depth = len(pos)
+    while depth and model.is_value_term(w):
+        depth -= 1
+        parent, i = ancestors[depth], pos[depth] - 1
+        w = trusted_app(parent.fun, parent.args[:i] + (w,) + parent.args[i + 1:])
+        if not model.is_calc_redex(w):
+            break
+        value = model.interpret_term(w)
+        steps.append((pos[:depth], w, value))
+        w = value
+    return pos[:depth], ancestors[depth] if depth < len(pos) else cand.redex, w, steps
+
+
+Splice = tuple[Term, Position, Term]  # (t, p, r): t with r put at p; (t, (), r) is r
+
+
+def built(splice: Splice) -> Term:
+    return replace_at(*splice) if splice[1] else splice[2]
+
+
+def _spliced_is(t: Term, p: Position, r: Term, y: Term) -> bool:
+    """Whether t with r put at p is y, by a walk down p that builds nothing."""
+    for i in p:
+        if y.__class__ is not App or y.fun is not t.fun and y.fun != t.fun:  # type: ignore
+            return False
+        for j, (c, d) in enumerate(zip(t.args, y.args), 1):  # type: ignore[union-attr]
+            if j != i and c is not d and c != d:
+                return False
+        t, y = t.args[i - 1], y.args[i - 1]  # type: ignore[union-attr]
+    return r is y or r == y
+
+
+def spliced_equal(a: Splice, b: Splice) -> bool:
+    """Whether two splices are one term: walks that build neither."""
+    (x, p, r), (y, q, s) = a, b
+    if not (p and q):  # one of them is built
+        return _spliced_is(x, p, r, s) if not q else _spliced_is(y, q, s, r)
+    for n, (i, k) in enumerate(zip(p, q)):
+        if x.fun is not y.fun and x.fun != y.fun:  # type: ignore[union-attr]
+            return False
+        for j, (c, d) in enumerate(zip(x.args, y.args), 1):  # type: ignore[union-attr]
+            if j != i and j != k and c is not d and c != d:
+                return False
+        if i != k:  # the spines part
+            return (_spliced_is(x.args[i - 1], p[n + 1:], r, y.args[i - 1])  # type: ignore
+                    and _spliced_is(y.args[k - 1], q[n + 1:], s, x.args[k - 1]))  # type: ignore
+        x, y = x.args[i - 1], y.args[i - 1]  # type: ignore[union-attr]
+    n = min(len(p), len(q))
+    return _spliced_is(y, q[n:], s, r) if n == len(p) else _spliced_is(x, p[n:], r, s)
+
+
+Edge = tuple[Splice, int, int, RuleCandidate]  # see macro_edges
 
 
 def macro_edges(
@@ -586,36 +613,44 @@ def macro_edges(
     cands: Iterable[RuleCandidate],
     size_cap: Optional[int],
     pool_normal: bool,
-) -> Iterator[tuple[Term, int, RuleCandidate]]:
+) -> Iterator[Edge]:
     """Macro edges out of u (one rule step, then calc normalization), as
-    (v, n, cand) in the order of cands, without v == u and without any v
-    larger than size_cap (None: no cap).  n is the number of trace steps of
-    the edge and cand.steps() builds them.
+    (splice, size, n, cand) in the order of cands, without those back to u
+    and without any larger than size_cap (None: no cap).  The target is left
+    unbuilt, as a splice of u; size is its size, n the number of trace steps
+    of the edge, and cand.steps() builds them.
 
     u must be calc-normal, and so must every binding of a candidate that
     does not come from term variables; pool_normal says whether those do.
     When the instantiated side of a candidate is calc-normal and not a value
-    (its side is plain and every binding is calc-normal), the result is
-    calc-normal too and its size is known before it is built; over-cap
-    candidates are then dropped unbuilt.  Otherwise only the rewritten spine
-    is normalized.
+    (its side is plain and every binding is calc-normal), so is the target,
+    and an over-cap candidate is dropped before anything is built.
+    Otherwise only the rewritten spine is normalized (see _normalize_spine).
     """
+    u_size = u.size
     for cand in cands:
         draw = cand.draw
         side = draw.side
-        dst = side.dst
         if (side.plain and (pool_normal or not side.term_extras)
-                and not (isinstance(dst, Variable)
+                and not (isinstance(side.dst, Variable)
                          and model.is_value_term(draw.replacement))):
-            if size_cap is not None and cand.size > size_cap:
-                continue
-            v = cand.result
+            if size_cap is not None and u_size - cand.redex.size + draw.size > size_cap:
+                continue  # dropped before anything is built
+            q, sub, w = cand.position, cand.redex, draw.replacement
         else:
-            v, cand.calc = _normalize_spine(model, u, cand.position, draw)
-            if size_cap is not None and v.size > size_cap:
-                continue
-        if v != u:
-            yield v, 1 + len(cand.calc), cand
+            q, sub, w, cand.calc = _normalize_spine(model, u, cand)
+        size = u_size - sub.size + w.size
+        if (size_cap is None or size <= size_cap) and w is not sub and w != sub:
+            yield (u, q, w), size, 1 + len(cand.calc), cand
+
+
+def key_around(key: str, t: Term, q: Position) -> tuple[str, str]:
+    """term_key(t), given as key, cut around the key of t's subterm at q."""
+    off = 0
+    for i in q:
+        off += len(t.fun.name) + i + 1 + sum(map(len, map(term_key, t.args[:i - 1])))
+        t = t.args[i - 1]  # type: ignore[union-attr]
+    return key[:off], key[off + len(term_key(t)):]
 
 
 DrawMemos = dict[tuple, dict[Term, tuple[Draw, ...]]]
@@ -629,7 +664,7 @@ def search_expander(
     size_cap: Optional[int],
     value_pool: Optional[dict[Sort, tuple]] = None,
     draw_memos: Optional[DrawMemos] = None,
-) -> Callable[[Term], Iterator[tuple[Term, int, RuleCandidate]]]:
+) -> Callable[[Term], Iterator[Edge]]:
     """Set up one search and return its expander: u -> the macro edges (see
     macro_edges) of the calc-normal u within size_cap, in candidate order.
 
@@ -658,7 +693,7 @@ def search_expander(
                    tuple(term_pool.get(s, ()) for s in theory.term_extra_sorts))
         draws = draw_memos.setdefault(context, {})
 
-    def expand(u: Term) -> Iterator[tuple[Term, int, RuleCandidate]]:
+    def expand(u: Term) -> Iterator[Edge]:
         cands = rule_step_candidates(theory, u, value_pool, term_pool, solve_box,
                                      limits.cap_per_redex, draws=draws)
         return macro_edges(model, u, cands, size_cap, pool_normal)
@@ -709,59 +744,83 @@ def conversion_search(
                              max(s0.size, t0.size) + limits.max_term_growth, value_pool,
                              draw_memos)
 
-    # dist[side][term] = (steps, parent, edge), side 0 from s0 and 1 from t0
-    dist: list[dict[Term, tuple[int, Optional[Term], Optional[RuleCandidate]]]] = [
-        {s0: (0, None, None)}, {t0: (0, None, None)}]
-    done: list[set[Term]] = [set(), set()]
-    frontier = [(s0.size, 0, 0, term_key(s0), s0), (t0.size, 1, 0, term_key(t0), t0)]
+    # dist[side][term_key] = the chain of nodes of that key, side 0 from s0 and 1 from t0
+    roots = (_Node(0, None, None, (s0, (), s0), None), _Node(0, None, None, (t0, (), t0), None))
+    dist: list[dict[str, _Node]] = [{term_key(s0): roots[0]}, {term_key(t0): roots[1]}]
+    frontier = [(s0.size, 0, 0, term_key(s0), roots[0]), (t0.size, 1, 0, term_key(t0), roots[1])]
     heapq.heapify(frontier)
-    best: Optional[tuple[int, int, str, Term]] = None
+    best: Optional[tuple[int, int, str, _Node, _Node]] = None
     expanded = 0
     while best is None and frontier:
-        _, side, cost, _, u = heapq.heappop(frontier)
-        if u in done[side]:
+        _, side, cost, _, node = heapq.heappop(frontier)
+        if node.done:
             continue
-        done[side].add(u)
+        node.done = True
         expanded += 1
         if expanded > limits.max_nodes:
             break
         if cost >= budget:
             continue
+        u = built(node.splice)
+        node.splice, u_key, at = (u, (), u), term_key(u), None
         reached, other = dist[side], dist[1 - side]
-        for v, n, edge in expand(u):
+        for splice, size, n, edge in expand(u):
             c2 = cost + n
             if c2 > budget:
                 continue
-            old = reached.get(v)
-            if old is None or c2 < old[0]:
-                reached[v] = (c2, u, edge)
-                heapq.heappush(frontier, (c2 + v.size, side, c2, term_key(v), v))
-                if v in other:
-                    total = c2 + other[v][0]
-                    cand = (total, v.size, term_key(v), v)
-                    if total <= budget and (best is None or cand < best):
-                        best = cand
+            q = splice[1]
+            if q and q != at:  # u's key around the splice's position
+                at, (before, after) = q, key_around(u_key, u, q)
+            key = before + term_key(splice[2]) + after if q else term_key(splice[2])
+            old = head = reached.get(key)
+            while old is not None and not spliced_equal(old.splice, splice):
+                old = old.next
+            if old is None:
+                old = reached[key] = _Node(c2, node, edge, splice, head)
+            elif c2 < old.steps:
+                old.steps, old.parent, old.edge = c2, node, edge
+            else:
+                continue
+            heapq.heappush(frontier, (c2 + size, side, c2, key, old))
+            meet = other.get(key)
+            while meet is not None and not spliced_equal(meet.splice, splice):
+                meet = meet.next
+            if meet is not None:
+                total = c2 + meet.steps
+                if total <= budget and (best is None or (total, size, key) < best[:3]):
+                    best = (total, size, key, *((old, meet) if side == 0 else (meet, old)))
 
     if best is None:
         return None
-    meet = best[3]
-    bwd = [st.reversed_() for st in reversed(_path(dist[1], meet))]
-    trace = tuple(prefix + _path(dist[0], meet) + bwd + suffix)
+    bwd = [st.reversed_() for st in reversed(_path(best[4]))]
+    trace = tuple(prefix + _path(best[3]) + bwd + suffix)
     if len(trace) > limits.bound:
         return None
     return trace
 
 
-def _path(dist: dict[Term, tuple[int, Optional[Term], Optional[RuleCandidate]]],
-          node: Term) -> list[TraceStep]:
-    """The steps from the root of dist's search to node."""
+class _Node:
+    """A term one side of conversion_search has reached, `steps` from its root
+    by `edge` out of `parent`; `next` is another node of its term_key."""
+
+    __slots__ = ("steps", "parent", "edge", "splice", "next", "done")
+
+    def __init__(self, steps: int, parent: Optional["_Node"], edge: Optional[RuleCandidate],
+                 splice: Splice, next_: Optional["_Node"]) -> None:
+        self.steps, self.parent, self.edge = steps, parent, edge
+        self.splice, self.next, self.done = splice, next_, False
+
+    def __lt__(self, other: "_Node") -> bool:
+        return False  # heap entries tie up to the node only on a term_key collision
+
+
+def _path(node: _Node) -> list[TraceStep]:
+    """The steps from the root of node's side to node."""
     steps: list[TraceStep] = []
-    while True:
-        _, parent, edge = dist[node]
-        if parent is None:
-            return steps
-        steps[:0] = edge.steps()  # type: ignore[union-attr]
-        node = parent
+    while node.parent is not None:
+        steps[:0] = node.edge.steps()  # type: ignore[union-attr]
+        node = node.parent
+    return steps
 
 
 def reachable_terms(
@@ -779,14 +838,14 @@ def reachable_terms(
     expand = search_expander(theory, limits, [start], [start, *seed_terms],
                              s0.size + limits.max_term_growth, value_pool)
     # shortest edges first: by trace length, then result size, then term_key
-    return dict(breadth_first(s0, prefix, lambda u: sorted(
-        expand(u), key=lambda e: (e[1], e[0].size, term_key(e[0]))), depth, width))
+    return dict(breadth_first(s0, prefix, lambda u: sorted(expand(u), key=lambda e: (
+        e[2], e[1], term_key(e[0][2]).join(key_around(term_key(u), u, e[0][1])))), depth, width))
 
 
 def breadth_first(
     s0: Term,
     prefix: Sequence[TraceStep],
-    edges: Callable[[Term], Iterable[tuple[Term, int, RuleCandidate]]],
+    edges: Callable[[Term], Iterable[Edge]],
     depth: int,
     width: int,
 ) -> Iterator[tuple[Term, ConversionTrace]]:
@@ -800,7 +859,8 @@ def breadth_first(
     for _ in range(depth):
         nxt = []
         for u in frontier:
-            for v, _, edge in edges(u):
+            for splice, _, _, edge in edges(u):
+                v = built(splice)
                 if v not in reached:
                     trace = reached[v] = reached[u] + edge.steps()
                     yield v, trace

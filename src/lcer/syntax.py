@@ -317,6 +317,10 @@ def parse_theory(text: str) -> TheoryFile:
         if len(node.items) != 4:
             raise ParseError("expected (fun NAME (ARG...) RESULT)", node.line, node.col)
         fname = expect_atom(node.items[1], "a symbol name").text
+        if fname in ("true", "false") or _INT_RE.match(fname):
+            # every occurrence of the name would read as the value
+            raise TheoryError("parse-error", f"symbol name {fname} reads as a value",
+                              node.line, node.col)
         if fname in model.symbols or model.sorts.get(fname):
             raise TheoryError("parse-error", f"{fname} collides with a model symbol",
                               node.line, node.col)

@@ -37,6 +37,31 @@ def test_parse_input_error(capsys, tmp_path):
     assert code == 3 and doc["verdict"] == "input-error"
 
 
+@pytest.mark.parametrize("name, sort", [("3", "Int"), ("-2", "Int"), ("true", "Bool")])
+def test_symbol_name_that_reads_as_a_value(capsys, tmp_path, name, sort):
+    bad = tmp_path / "bad.th"
+    bad.write_text(f"(theory (model lia) (fun {name} () {sort}))")
+    code, doc = run_json(capsys, "parse", str(bad))
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert "reads as a value" in doc["detail"]
+
+
+def test_internal_error_is_reported_not_raised(capsys, monkeypatch):
+    # a fault inside lcer exits 5 with a verdict in both modes, never with a
+    # traceback and Python's exit 1 (which reads as a negative result)
+    import lcer.cli as cli
+
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, doc = run_json(capsys, "parse", fx("mod12.th"))
+    assert code == 5 and doc["verdict"] == "internal-error"
+    assert doc["detail"] == "KeyError: 'lost'"
+    code, out = run(capsys, "parse", fx("mod12.th"))
+    assert code == 5 and out == "internal error: KeyError: 'lost'\n"
+
+
 def test_convert_modular(capsys):
     code, doc = run_json(capsys, "convert", fx("mod12.th"),
                          "-l", "cong(+(7,31))", "-r", "cong(14)", "--bound", "3")

@@ -5,7 +5,10 @@ The expander (the one that equations.search_expander sets up for a search)
 prunes by size before building, normalizes only the rewritten spine and
 builds an edge's trace steps only when asked; it must give the same edges,
 with the same traces once built, in the same order once sorted as the
-searches sort them.
+searches sort them.  It leaves each target unbuilt, as a splice with a
+size of its own: once built, the target must have that size and the
+term_key spliced from its parent's, and spliced_equal must agree with == on
+it and on other terms that print alike.
 """
 
 import random
@@ -17,23 +20,30 @@ from lcer.equations import (
     RuleCandidate,
     SearchLimits,
     TraceStep,
+    built,
     calc_normal_pool,
     calc_trace,
     conversion_search,
     default_value_pool,
+    key_around,
     macro_edges,
     replay_trace,
     rule_step_candidates,
     search_expander,
+    spliced_equal,
     term_candidate_pool,
     term_key,
 )
 from lcer.syntax import parse_term
 from lcer.terms import (
+    TERM,
     THEORY,
     App,
+    FunSymbol,
+    Signature,
     Variable,
     apply_subst,
+    positions_of,
     replace_at,
     sort_of,
     subterm_at,
@@ -61,6 +71,13 @@ def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
     return edges
 
 
+def spliced_key(splice):
+    """The term_key of a splice as conversion_search splices it."""
+    host, q, w = splice
+    before, after = key_around(term_key(host), host, q)
+    return before + term_key(w) + after
+
+
 def expand(theory, u, goal_terms, pool_terms, limits, size_cap, expander=None):
     """The edges of u with their trace steps built, shortest first as the
     searches take them, each checked against the step count that the sort
@@ -69,9 +86,11 @@ def expand(theory, u, goal_terms, pool_terms, limits, size_cap, expander=None):
     unless one is given."""
     expander = expander or search_expander(theory, limits, goal_terms, pool_terms, size_cap)
     edges = []
-    for v, n, edge in expander(u):
+    for splice, size, n, edge in expander(u):
+        v = built(splice)
         steps = edge.steps()
         assert n == len(steps), (v, steps)
+        assert (size, spliced_key(splice)) == (v.size, term_key(v)), (v, size)
         edges.append((v, steps))
     edges.sort(key=lambda e: (len(e[1]), e[0].size, term_key(e[0])))
     return edges
@@ -158,6 +177,7 @@ def test_random_calc_normal_terms(request, name, seed):
         # caps exactly at a result's size, just below it, and none at all
         caps = [None, u.size] + sizes[:3] + [s - 1 for s in sizes[-2:]]
         _assert_same(theory, u, value_pool, term_pool, limits, caps)
+        _assert_splices(theory, u, limits)
         edges += len(uncapped)
         with_calc += sum(len(steps) > 1 for _, steps in uncapped)
         checked += 1
@@ -165,6 +185,75 @@ def test_random_calc_normal_terms(request, name, seed):
     # theory has an equation side with a theory operator
     assert edges > 60
     assert with_calc > 0 or name == "mod12"
+
+
+def look_alike(leaf):
+    """A different leaf that prints as leaf does: a variable for a constant
+    (a value too), a constant for a variable."""
+    if isinstance(leaf, Variable):
+        return App(FunSymbol(leaf.name, (), leaf.sort, leaf.sort.kind))
+    return Variable(leaf.fun.name, leaf.fun.result_sort)
+
+
+def _swap_a_leaf(t, rng, outside=None):
+    """t with one leaf (not under position outside) swapped for a look-alike,
+    or None if t has no such leaf."""
+    leaves = [p for p, sub in positions_of(t) if sub.size == 1
+              and (outside is None or p[:len(outside)] != outside)]
+    if not leaves:
+        return None
+    p = rng.choice(leaves)
+    return replace_at(t, p, look_alike(subterm_at(t, p)))
+
+
+def _assert_splices(theory, u, limits):
+    """Every edge's splice against its built target, against the other
+    edges' and against splices of other terms with the same key: a look-alike
+    leaf in the target, in the subterm put in, or in u off the spine.  The
+    leaves are drawn from a stream of u's own, so that the caller's stream of
+    terms is the one it was before these checks."""
+    rng = random.Random(term_key(u))
+    expander = search_expander(theory, limits, [u], [u], None)
+    edges = [(splice, spliced_key(splice), built(splice)) for splice, _, _, _ in expander(u)][:30]
+    for splice, key, v in edges:
+        assert spliced_equal(splice, (v, (), v)) and spliced_equal((v, (), v), splice)
+        host, q, w = splice
+        twins = [(t, (), t) for t in [_swap_a_leaf(v, rng)]]
+        twins += [(host, q, t) for t in [_swap_a_leaf(w, rng)]]
+        twins += [(t, q, w) for t in [_swap_a_leaf(host, rng, q)] if t is not None]
+        for twin in twins:
+            assert term_key(built(twin)) == key and built(twin) != v
+            assert not spliced_equal(splice, twin) and not spliced_equal(twin, splice)
+            assert spliced_equal(twin, twin)
+    for a, key_a, v in edges:
+        for b, key_b, w in edges:
+            assert spliced_equal(a, b) == (v == w), (a, b)
+            assert key_a == key_b or v != w
+
+
+def test_terms_that_print_alike_do_not_meet():
+    # a term constant named 3 prints as the value 3: g(c3) rewrites to f(c3),
+    # whose key is the other side's, f(3), and f(3) rewrites to g(3), whose
+    # key is g(c3)'s; neither is a meet, and nothing else is reachable
+    from lcer.equations import CETheory
+    from lcer.syntax import parse_theory
+
+    parsed = parse_theory("""(theory (model lia) (fun f (Int) Int) (fun g (Int) Int)
+      (eq (pi) (constraint true) (f x) (g x)))""").theory
+    model, sig = parsed.model, parsed.signature
+    Int = sig.sort("Int")
+    c3 = App(FunSymbol("3", (), Int, TERM))
+    theory = CETheory(Signature(sig.sorts, sig.symbols + (c3.fun,)), model, parsed.equations)
+    f, g = sig.symbol("f"), sig.symbol("g")
+    three = model.value_term(Int, 3)
+    assert term_key(App(f, (c3,))) == term_key(App(f, (three,))) == "(f 3)"
+    limits = SearchLimits(bound=4)
+    assert conversion_search(theory, App(g, (c3,)), App(f, (three,)), limits) is None
+    assert conversion_search(theory, App(f, (c3,)), App(g, (three,)), limits) is None
+    for s, t in ((App(g, (c3,)), App(f, (c3,))), (App(f, (three,)), App(g, (three,)))):
+        trace = conversion_search(theory, s, t, limits)
+        assert trace is not None and len(trace) == 1
+        assert replay_trace(theory, s, trace) == t
 
 
 def test_value_under_a_theory_operator_is_contracted(lists):
@@ -290,8 +379,8 @@ def test_search_scoped_draws_match_the_reference(group, monkeypatch):
     for start, first, second in ((starts[0], (1,), (2, 1)), (starts[1], (1,), (2,))):
         cands = rule_step_candidates(theory, start, value_pool, term_pool,
                                      limits.solve_box, limits.cap_per_redex, draws=draws)
-        edges = {(edge.position, id(edge.draw)): (v, edge.steps()) for v, _, edge in
-                 macro_edges(theory.model, start, cands, None, True)}
+        edges = {(edge.position, id(edge.draw)): (built(splice), edge.steps())
+                 for splice, _, _, edge in macro_edges(theory.model, start, cands, None, True)}
         shared = [id(a.draw) for a in cands if a.position == first
                   and any(b.draw is a.draw for b in cands if b.position == second)]
         assert shared

@@ -50,6 +50,14 @@ def test_unknown_sort_and_symbol():
     assert err.value.code == "unknown-symbol"
 
 
+@pytest.mark.parametrize("decl", ["(fun 3 () Int)", "(fun -2 () Int)", "(fun true () Bool)"])
+def test_symbol_name_that_reads_as_a_value(decl):
+    # every occurrence of the name would read as the value, and print alike
+    with pytest.raises(TheoryError) as err:
+        parse_theory(f"(theory (model lia) {decl})")
+    assert err.value.code == "parse-error" and "reads as a value" in str(err.value)
+
+
 def test_ill_sorted_equation():
     with pytest.raises(TheoryError) as err:
         parse_theory("""(theory (model lia) (sorts U) (fun f (Int) U)
