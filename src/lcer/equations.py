@@ -41,8 +41,9 @@ which sorts after the newer one, is skipped as done.
 
 Edges are deferred: `macro_edges` gives each target as a splice of its
 parent, and the search keys `dist` and the heap by its term_key, spliced
-from the parent's, and builds it only when it is expanded.  Two terms may
-print alike (a variable and a constant): `spliced_equal` confirms each hit.
+from the parent's, and builds it only when it is expanded.  term_key is
+injective, so a key names one term: a side has one node per key, and a key
+found on the other side is a meet.
 """
 
 from __future__ import annotations
@@ -573,37 +574,6 @@ def built(splice: Splice) -> Term:
     return replace_at(*splice) if splice[1] else splice[2]
 
 
-def _spliced_is(t: Term, p: Position, r: Term, y: Term) -> bool:
-    """Whether t with r put at p is y, by a walk down p that builds nothing."""
-    for i in p:
-        if y.__class__ is not App or y.fun is not t.fun and y.fun != t.fun:  # type: ignore
-            return False
-        for j, (c, d) in enumerate(zip(t.args, y.args), 1):  # type: ignore[union-attr]
-            if j != i and c is not d and c != d:
-                return False
-        t, y = t.args[i - 1], y.args[i - 1]  # type: ignore[union-attr]
-    return r is y or r == y
-
-
-def spliced_equal(a: Splice, b: Splice) -> bool:
-    """Whether two splices are one term: walks that build neither."""
-    (x, p, r), (y, q, s) = a, b
-    if not (p and q):  # one of them is built
-        return _spliced_is(x, p, r, s) if not q else _spliced_is(y, q, s, r)
-    for n, (i, k) in enumerate(zip(p, q)):
-        if x.fun is not y.fun and x.fun != y.fun:  # type: ignore[union-attr]
-            return False
-        for j, (c, d) in enumerate(zip(x.args, y.args), 1):  # type: ignore[union-attr]
-            if j != i and j != k and c is not d and c != d:
-                return False
-        if i != k:  # the spines part
-            return (_spliced_is(x.args[i - 1], p[n + 1:], r, y.args[i - 1])  # type: ignore
-                    and _spliced_is(y.args[k - 1], q[n + 1:], s, x.args[k - 1]))  # type: ignore
-        x, y = x.args[i - 1], y.args[i - 1]  # type: ignore[union-attr]
-    n = min(len(p), len(q))
-    return _spliced_is(y, q[n:], s, r) if n == len(p) else _spliced_is(x, p[n:], r, s)
-
-
 Edge = tuple[Splice, int, int, RuleCandidate]  # see macro_edges
 
 
@@ -744,8 +714,8 @@ def conversion_search(
                              max(s0.size, t0.size) + limits.max_term_growth, value_pool,
                              draw_memos)
 
-    # dist[side][term_key] = the chain of nodes of that key, side 0 from s0 and 1 from t0
-    roots = (_Node(0, None, None, (s0, (), s0), None), _Node(0, None, None, (t0, (), t0), None))
+    # dist[side][term_key] = the node of that term, side 0 from s0 and 1 from t0
+    roots = (_Node(0, None, None, (s0, (), s0)), _Node(0, None, None, (t0, (), t0)))
     dist: list[dict[str, _Node]] = [{term_key(s0): roots[0]}, {term_key(t0): roots[1]}]
     frontier = [(s0.size, 0, 0, term_key(s0), roots[0]), (t0.size, 1, 0, term_key(t0), roots[1])]
     heapq.heapify(frontier)
@@ -772,19 +742,15 @@ def conversion_search(
             if q and q != at:  # u's key around the splice's position
                 at, (before, after) = q, key_around(u_key, u, q)
             key = before + term_key(splice[2]) + after if q else term_key(splice[2])
-            old = head = reached.get(key)
-            while old is not None and not spliced_equal(old.splice, splice):
-                old = old.next
+            old = reached.get(key)
             if old is None:
-                old = reached[key] = _Node(c2, node, edge, splice, head)
+                old = reached[key] = _Node(c2, node, edge, splice)
             elif c2 < old.steps:
                 old.steps, old.parent, old.edge = c2, node, edge
             else:
                 continue
             heapq.heappush(frontier, (c2 + size, side, c2, key, old))
             meet = other.get(key)
-            while meet is not None and not spliced_equal(meet.splice, splice):
-                meet = meet.next
             if meet is not None:
                 total = c2 + meet.steps
                 if total <= budget and (best is None or (total, size, key) < best[:3]):
@@ -801,17 +767,16 @@ def conversion_search(
 
 class _Node:
     """A term one side of conversion_search has reached, `steps` from its root
-    by `edge` out of `parent`; `next` is another node of its term_key."""
+    by `edge` out of `parent`: the one node of its term_key on that side.  Its
+    heap entries never tie up to the node, since it is pushed again only at
+    fewer steps."""
 
-    __slots__ = ("steps", "parent", "edge", "splice", "next", "done")
+    __slots__ = ("steps", "parent", "edge", "splice", "done")
 
     def __init__(self, steps: int, parent: Optional["_Node"], edge: Optional[RuleCandidate],
-                 splice: Splice, next_: Optional["_Node"]) -> None:
+                 splice: Splice) -> None:
         self.steps, self.parent, self.edge = steps, parent, edge
-        self.splice, self.next, self.done = splice, next_, False
-
-    def __lt__(self, other: "_Node") -> bool:
-        return False  # heap entries tie up to the node only on a term_key collision
+        self.splice, self.done = splice, False
 
 
 def _path(node: _Node) -> list[TraceStep]:

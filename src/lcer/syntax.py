@@ -9,7 +9,6 @@ resolve to the model's internal symbols.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,11 +35,10 @@ from .terms import (
     Sort,
     Term,
     Variable,
+    reads_as_value,
     sort_of,
     vars_of,
 )
-
-_INT_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class TheoryError(Exception):
@@ -75,22 +73,22 @@ class TermReader:
 
     def _value_atom(self, text: str, expected: Optional[Sort], node: Node) -> Optional[Term]:
         model = self.model
+        if not reads_as_value(text):
+            return None
         if text in ("true", "false"):
             b = model.sorts["Bool"]
             return model.value_term(b, text == "true")
-        if _INT_RE.match(text):
-            int_sort = model.int_sort()
-            if int_sort is None:
-                raise TheoryError("unknown-symbol",
-                                  f"model {model.name} has no numeric sort",
-                                  node.line, node.col)
-            val = int(text)
-            if not model.element_in_carrier(int_sort, val):
-                raise TheoryError("unknown-symbol",
-                                  f"{val} is not a value of the {model.name} model",
-                                  node.line, node.col)
-            return model.value_term(int_sort, val)
-        return None
+        int_sort = model.int_sort()
+        if int_sort is None:
+            raise TheoryError("unknown-symbol",
+                              f"model {model.name} has no numeric sort",
+                              node.line, node.col)
+        val = int(text)
+        if not model.element_in_carrier(int_sort, val):
+            raise TheoryError("unknown-symbol",
+                              f"{val} is not a value of the {model.name} model",
+                              node.line, node.col)
+        return model.value_term(int_sort, val)
 
     def _symbol(self, name: str, nargs: int, arg0_sort: Optional[Sort],
                 node: Node) -> Optional[FunSymbol]:
@@ -317,7 +315,7 @@ def parse_theory(text: str) -> TheoryFile:
         if len(node.items) != 4:
             raise ParseError("expected (fun NAME (ARG...) RESULT)", node.line, node.col)
         fname = expect_atom(node.items[1], "a symbol name").text
-        if fname in ("true", "false") or _INT_RE.match(fname):
+        if reads_as_value(fname):
             # every occurrence of the name would read as the value
             raise TheoryError("parse-error", f"symbol name {fname} reads as a value",
                               node.line, node.col)

@@ -90,7 +90,7 @@ class Variable:
     def __post_init__(self) -> None:
         _set(self, "_hash", hash(("v", self.name, self.sort.name)))
         _set(self, "_size", 1)
-        _set(self, "_key", self.name)
+        _set(self, "_key", f"{self.name}\t{self.sort.name}")  # see term_key
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -206,8 +206,11 @@ def sort_of(t: Term) -> Sort:
 
 
 def term_key(t: Term) -> str:
-    """The printed form of t, e.g. "(f x c)": a total order on terms used
-    to break ties.  Computed once per term, bottom-up without recursion."""
+    """The printed form of t with each variable tagged by a tab and its sort,
+    e.g. "(f x\tU c)": a total order on terms used to break ties.  Computed
+    once per term, bottom-up without recursion.  Injective on the terms over
+    one signature and its model's values, since no name holds a tab and
+    `Signature` refuses a name that reads as a value: equal keys, equal terms."""
     key = t._key
     if key is not None:
         return key
@@ -487,6 +490,11 @@ def fresh_var(base: str, sort: Sort, avoid: set[Variable]) -> Variable:
     return Variable(f"{base}{i}", sort)
 
 
+def reads_as_value(name: str) -> bool:
+    """Whether the reader takes name for a value: an integer literal, true or false."""
+    return name in ("true", "false") or name.isascii() and name.removeprefix("-").isdigit()
+
+
 @dataclass(frozen=True)
 class Signature:
     """Declared sorts and function symbols (value constants live in the model)."""
@@ -506,6 +514,8 @@ class Signature:
         for f in self.symbols:
             if f.name in syms:
                 raise SignatureError(f"duplicate symbol {f.name}")
+            if reads_as_value(f.name):
+                raise SignatureError(f"symbol name {f.name} reads as a value")
             syms[f.name] = f
             for s in f.arg_sorts + (f.result_sort,):
                 if by_name.get(s.name) != s:

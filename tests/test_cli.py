@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -318,3 +320,18 @@ def test_readme_command_output_is_unchanged(capsys, tmp_path, name):
 def test_consistent_text_output_is_unchanged(capsys):
     code, out = run(capsys, "consistent", fx("inconsistent.th"), "--depth", "2")
     assert code == 1 and out == _golden("consistent_inconsistent.txt")
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_convert_output_does_not_depend_on_the_hash_seed(hash_seed):
+    # a fresh interpreter per hash seed: set and dict order must not reach the trace
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "lcer.cli", "convert", "fixtures/group.th", "-g", "expinv",
+         "--bound", "12", "--format", "json"],
+        cwd=root, env=env, capture_output=True, check=True)
+    with open(os.path.join(GOLDEN, "convert_expinv.json"), "rb") as fh:
+        assert done.stdout == fh.read()

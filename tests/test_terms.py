@@ -235,9 +235,10 @@ def test_replace_at_checks_the_replaced_position():
 # -- cached term keys ------------------------------------------------------------
 
 def recursive_key(t):
-    """term_key as it was computed before it was cached."""
+    """term_key as it was computed before it was cached, with each variable
+    tagged by its sort."""
     if isinstance(t, Variable):
-        return t.name
+        return f"{t.name}\t{t.sort.name}"
     if not t.args:
         return t.fun.name
     return f"({t.fun.name} {' '.join(recursive_key(a) for a in t.args)})"
