@@ -2,9 +2,11 @@
 
 A rule step applies an equation at a position, in either direction, under a
 substitution that sends every declared logical variable to a value and makes
-the instantiated constraint evaluate to true.  Conversion search works modulo
-calculation: every term is kept calc-normalized, and reverse calculation steps
-are recovered only in traces (never enumerated during search).
+the instantiated constraint evaluate to true.  Each side's constraint is
+compiled once (`models.Guard`); a variable that an equality conjunct fixes is
+computed rather than searched, which gives the same draws.  Conversion search
+works modulo calculation: every term is kept calc-normalized, and reverse
+calculation steps are recovered only in traces (never enumerated during search).
 
 Every search takes its rule steps through one loop, `position_candidates`,
 and its edges through `macro_edges`: conversion search, `reachable_terms`
@@ -53,7 +55,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .models import UnderlyingModel, enumerate_satisfying, satisfying
+from .models import Guard, UnderlyingModel, sort_domain
+from .models import enumerate_satisfying  # noqa: F401  (the benchmark's tracer rebinds it here)
 from .terms import (
     THEORY,
     App,
@@ -137,17 +140,18 @@ class _Side(NamedTuple):
     direction: str  # "lr" or "rl"
     src: Term
     dst: Term
-    checked_logical: tuple[Variable, ...]  # logical variables of src: must match values
+    checked_logical: tuple[Variable, ...]  # logical in src, by (name, sort): must match values
     matched: tuple[Variable, ...]  # the variables of src, by name
-    logical_extras: tuple[Variable, ...]  # logical variables not in src, by name
+    logical_extras: tuple[Variable, ...]  # logical variables not in src, by (name, sort)
     term_extras: tuple[Variable, ...]  # other variables of dst not in src, by name
     variables: tuple[Variable, ...]  # matched + logical_extras + term_extras
     occurrences: tuple[tuple[int, int], ...]  # variables of dst (index in variables), counts
     plain: bool  # dst is no value and has no non-value theory operator
-    trivial: bool  # the constraint is literally true
+    guard: Optional[Guard]  # over checked_logical + logical_extras; None: nothing to check
 
     @classmethod
-    def of(cls, eq_index: int, direction: str, eq: ConstrainedEquation) -> "_Side":
+    def of(cls, eq_index: int, direction: str, eq: ConstrainedEquation,
+           model: UnderlyingModel) -> "_Side":
         src, dst = (eq.lhs, eq.rhs) if direction == "lr" else (eq.rhs, eq.lhs)
         in_src = vars_of(src)
         counts: dict[Variable, int] = {}
@@ -158,17 +162,18 @@ class _Side(NamedTuple):
             elif u.fun.kind == THEORY and not u.fun.is_value:
                 plain = False
         matched = tuple(sorted(in_src, key=lambda v: v.name))
-        logical_extras = tuple(sorted(eq.logical_vars - in_src, key=lambda v: v.name))
+        checked, logical_extras = (tuple(sorted(xs, key=lambda v: (v.name, v.sort.name)))
+                                   for xs in (eq.logical_vars & in_src, eq.logical_vars - in_src))
         term_extras = tuple(sorted(counts.keys() - in_src - eq.logical_vars,
                                    key=lambda v: v.name))
         variables = matched + logical_extras + term_extras
         return cls(
-            eq_index, direction, src, dst,
-            tuple(x for x in eq.logical_vars if x in in_src),
+            eq_index, direction, src, dst, checked,
             matched, logical_extras, term_extras, variables,
             tuple((variables.index(x), n) for x, n in counts.items()),
             plain,
-            eq.trivial_constraint,
+            None if eq.trivial_constraint and not logical_extras
+            else Guard(model, [*checked, *logical_extras], eq.constraint),
         )
 
 
@@ -180,8 +185,8 @@ class CETheory:
 
     def __post_init__(self) -> None:
         # by equation index, then direction
-        self._sides = tuple(_Side.of(i, direction, eq) for i, eq in enumerate(self.equations)
-                            for direction in ("lr", "rl"))
+        self._sides = tuple(_Side.of(i, direction, eq, self.model)
+                            for i, eq in enumerate(self.equations) for direction in ("lr", "rl"))
         # (root symbol name or None for a variable, sort) -> sides_for's answer
         self._matching: dict[tuple[Optional[str], Sort], tuple[_Side, ...]] = {}
         # the sorts that rule steps draw from a term pool, in side order
@@ -401,37 +406,31 @@ class RuleCandidate:
                                   for pos, redex, value in self.calc))
 
 
-def _extra_assignments(
-    model: UnderlyingModel,
-    extras: list[Variable],
-    constraint: Term,
-    value_pool: dict[Sort, tuple],
-    solve_box: Optional[int],
-    cap: int,
-) -> list[dict[Variable, Term]]:
+def _logical_draws(model: UnderlyingModel, guard: Guard, extras: tuple[Variable, ...],
+                   prefix: tuple, value_pool: dict[Sort, tuple], solve_box: Optional[int],
+                   cap: int) -> list[tuple[Term, ...]]:
+    """The values of extras under which guard holds after prefix: over the box
+    (unless solve_box is None), then over value_pool, new ones only, up to cap."""
     if not extras:
-        if vars_of(constraint):
-            return []
-        return [{}] if model.eval_constraint(constraint) else []
-    # keyed by raw value tuples, in first-found order
-    found: dict[tuple, dict[Variable, Term]] = {}
-    if solve_box is not None:
-        for sigma in enumerate_satisfying(model, set(extras), constraint, box=solve_box):
-            found[tuple(sigma[v].fun.value for v in extras)] = sigma
-            if len(found) >= cap:
-                return list(found.values())
-    domains = [value_pool.get(v.sort) for v in extras]
-    if None in domains:
-        return list(found.values())
-    for v, elems in zip(extras, domains):
-        for e in elems:
-            model.value_symbol(v.sort, e)  # pool values may come from the command line
-    for combo in satisfying(model, extras, domains, constraint):
+        return [()] if guard.holds(prefix) else []
+
+    def pool() -> Iterator[tuple]:
+        domains = [value_pool.get(v.sort) for v in extras]
+        if None not in domains:
+            for v, elems in zip(extras, domains):
+                for e in elems:
+                    model.value_symbol(v.sort, e)  # pool values may come from the command line
+            yield from guard.points(prefix, domains)
+
+    box = () if solve_box is None else \
+        guard.points(prefix, [sort_domain(model, v.sort, solve_box) for v in extras])
+    found: dict[tuple, None] = {}  # raw value tuples, in first-found order
+    for combo in itertools.chain(box, pool()):
         if combo not in found:
-            found[combo] = model.value_subst(extras, combo)
+            found[combo] = None
             if len(found) >= cap:
                 break
-    return list(found.values())
+    return [tuple(model.value_subst(extras, combo).values()) for combo in found]
 
 
 def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
@@ -445,21 +444,17 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
         base = match(side.src, sub)
         if base is None:
             continue
+        fixed = [base[x] for x in side.checked_logical]
         # logical variables bound by matching must already be values
-        if any(not model.is_value_term(base[x]) for x in side.checked_logical):
+        if not all(map(model.is_value_term, fixed)):
             continue
-        if side.trivial and not side.logical_extras:
-            assigns: list[dict[Variable, Term]] = [{}]
-        else:
-            assigns = _extra_assignments(
-                model, list(side.logical_extras),
-                apply_subst(base, theory.equations[side.eq_index].constraint),
-                value_pool, solve_box, cap_per_redex)
+        logical_draws = [()] if side.guard is None else _logical_draws(
+            model, side.guard, side.logical_extras, tuple(u.fun.value for u in fixed),
+            value_pool, solve_box, cap_per_redex)
         # no draw where a term variable's sort has no pool term
         term_domains = [term_pool.get(x.sort, ()) for x in side.term_extras]
         matched = tuple([base[x] for x in side.matched])
-        for logical_sigma in assigns:
-            logical = tuple([logical_sigma[x] for x in side.logical_extras])
+        for logical in logical_draws:
             for term_combo in itertools.product(*term_domains):
                 out.append(Draw(side, matched + logical + term_combo))
     return tuple(out)

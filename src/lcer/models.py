@@ -10,10 +10,11 @@ div(x, 0) = 0 and mod(x, 0) = x.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .terms import (
     THEORY,
@@ -27,6 +28,7 @@ from .terms import (
     positions_of,
     replace_at,
     sort_of,
+    subterms_of,
     trusted_app,
     vars_of,
 )
@@ -361,9 +363,11 @@ def _int_model(name: str, wrap: Callable[[int], int],
                    (">", operator.gt), (">=", operator.ge)):
         syms.append(FunSymbol(op, (i, i), b, THEORY))
         interp[op] = fn
-    return UnderlyingModel(
+    model = UnderlyingModel(
         name, [BOOL, INT], syms, interp,
         {BOOL: Carrier((False, True)), INT: int_carrier})
+    model._bijective_arith = True  # +, - and neg are bijections in each argument
+    return model
 
 
 def lia_model() -> UnderlyingModel:
@@ -388,44 +392,79 @@ def builtin_model(name: str, arg: int | None = None) -> UnderlyingModel:
     raise ValueError(f"unknown model {name}")
 
 
-def int_domain(box: int) -> list[int]:
-    """Deterministic closest-to-zero enumeration of [-box, box]."""
-    out = [0]
-    for k in range(1, box + 1):
-        out.append(k)
-        out.append(-k)
-    return out
+@functools.cache
+def int_domain(box: int) -> tuple[int, ...]:
+    """[-box, box], closest to zero first: one shared tuple per box."""
+    return (0, *(v for k in range(1, box + 1) for v in (k, -k)))
 
 
-def sort_domain(model: UnderlyingModel, sort: Sort, box: int) -> list:
+def sort_domain(model: UnderlyingModel, sort: Sort, box: int) -> tuple:
     car = model.carriers[sort]
-    if car.finite:
-        return list(car.elements)  # type: ignore[arg-type]
-    return int_domain(box)
+    return car.elements if car.finite else int_domain(box)  # type: ignore[return-value]
 
 
-def satisfying(
-    model: UnderlyingModel,
-    order: list[Variable],
-    domains: list,
-    phi: Term,
-    limit: int | None = None,
-) -> Iterator[tuple]:
-    """Tuples of carrier values over the product of domains (itertools.product
-    order, one domain per variable of order) under which phi holds.
+class Guard:
+    """phi compiled once over order (UnderlyingModel.compile), and `solve`: the
+    one value of order's last variable that can satisfy phi, or None (_solved_for)."""
 
-    At most limit points are tried.  phi is compiled once per call
-    (UnderlyingModel.compile) and evaluated on each point's value tuple; no
-    term or valuation dict is built per point.  Domain elements must already
-    be carrier elements of their variables' sorts.  Errors are raised at the
-    first next(), and evaluation errors only when a point is evaluated.
-    """
-    if vars_of(phi) - set(order):
-        raise EvalError("constraint mentions variables outside the enumeration set")
-    if sort_of(phi) != BOOL:
-        raise EvalError(f"constraint has sort {sort_of(phi).name}, expected Bool")
-    holds = model.compile(phi, order)
-    yield from filter(holds, itertools.islice(itertools.product(*domains), limit))
+    def __init__(self, model: UnderlyingModel, order: list[Variable], phi: Term) -> None:
+        if vars_of(phi) - set(order):
+            raise EvalError("constraint mentions variables outside the enumeration set")
+        if sort_of(phi) != BOOL:
+            raise EvalError(f"constraint has sort {sort_of(phi).name}, expected Bool")
+        self.holds = model.compile(phi, order)
+        inverse = getattr(model, "_bijective_arith", False) and order and \
+            _solved_for(model, phi, order[-1])
+        self.solve = model.compile(inverse, order) if inverse else None
+
+    def points(self, prefix: tuple, domains: Sequence[Sequence],
+               limit: Optional[int] = None) -> Iterator[tuple]:
+        """Tuples over the product of domains (one per variable of order after
+        prefix's, of carrier elements), in itertools.product order, under which
+        phi holds after prefix; at most limit points are tried.  With solve and
+        no limit, only last-domain elements equal to the solved value are tried."""
+        holds, k, fixed = self.holds, len(prefix), [(v,) for v in prefix]
+        if self.solve is None or limit is not None or not domains:
+            hits = filter(holds, itertools.islice(itertools.product(*fixed, *domains), limit))
+        else:
+            solve, last = self.solve, domains[-1]
+            hits = (q for p in itertools.product(*fixed, *domains[:-1]) if (c := solve(p)) in last
+                    for q in [p + (e,) for e in last if e == c] if holds(q))
+        return (p[k:] for p in hits) if k else hits
+
+
+def _solved_for(model: UnderlyingModel, phi: Term, y: Variable) -> Optional[Term]:
+    """The first top-level equality conjunct of phi with y once in it, under +,
+    - and neg alone, solved for y; None if none, or if phi could raise (a symbol
+    the model does not interpret)."""
+    count = lambda t: sum(u == y for u in subterms_of(t))  # noqa: E731
+    sym, todo = model.symbols, [phi]
+    while todo:
+        c = todo.pop()
+        if isinstance(c, App) and c.fun.name == "and":
+            todo.extend(reversed(c.args))
+        if not (isinstance(c, App) and len(c.args) == 2
+                and c.fun.name == f"={c.fun.arg_sorts[0].name}" and count(c) == 1):
+            continue
+        side, other = c.args if count(c.args[0]) else reversed(c.args)
+        while isinstance(side, App) and side.fun.name in ("+", "-", "neg"):
+            (l, *r), op = side.args, side.fun.name
+            if op == "neg":
+                side, other = l, App(sym["neg"], (other,))
+            elif count(l):  # y - r = o, y + r = o
+                side, other = l, App(sym["+" if op == "-" else "-"], (other, *r))
+            else:  # l - y = o, l + y = o
+                side, other = r[0], App(sym["-"], (l, other) if op == "-" else (other, l))
+        if isinstance(side, Variable):
+            return None if any(isinstance(u, App) and not u.fun.is_value and u.fun.name
+                               not in model.interp for u in subterms_of(phi)) else other
+    return None
+
+
+def satisfying(model: UnderlyingModel, order: list[Variable], domains: list, phi: Term,
+               limit: int | None = None) -> Iterator[tuple]:
+    """Guard(model, order, phi).points((), domains, limit); raises at the first next()."""
+    yield from Guard(model, order, phi).points((), domains, limit)
 
 
 def enumerate_satisfying(
