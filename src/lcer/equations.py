@@ -34,6 +34,11 @@ a dict from draw context to memo that the caller owns: then every search
 with the same draw context shares one memo (`validity.check_ce_validity`
 passes one to all the searches of its samples and drops it on return).
 
+Draws die with their search, but its outcome does not: the theory keeps
+conversion_search's trace, or None, in its memo of outcomes
+(`CETheory.outcomes`), keyed by everything the search reads but draw_memos,
+and a repeated search returns it without searching.
+
 Conversion search is bidirectional best-first with one frontier, a heap of
 (steps + size, side, steps, term_key, node): terms are expanded in the order
 of steps + term size, then the left side before the right, then steps, then
@@ -85,7 +90,8 @@ class CEError(Exception):
 
 @dataclass(frozen=True)
 class ConstrainedEquation:
-    """An equation s = t guarded by a constraint, with its logical variables."""
+    """An equation s = t guarded by a constraint, with its logical variables:
+    the constraint is a Bool theory term over them."""
 
     logical_vars: frozenset[Variable]
     lhs: Term
@@ -102,10 +108,21 @@ class ConstrainedEquation:
                 raise CEError(f"logical variable {x.name} is not theory-sorted")
         if sort_of(self.constraint).name != "Bool":
             raise CEError("constraint must have sort Bool")
-        extra = vars_of(self.constraint) - self.logical_vars
+        extra, foreign, todo = set(), set(), [self.constraint]
+        while todo:
+            u = todo.pop()
+            if isinstance(u, Variable):
+                if u not in self.logical_vars:
+                    extra.add(u)
+            else:
+                if u.fun.kind != THEORY:
+                    foreign.add(u.fun.name)
+                todo.extend(u.args)
         if extra:
             names = ", ".join(sorted(v.name for v in extra))
             raise CEError(f"constraint mentions variables outside the logical set: {names}")
+        if foreign:
+            raise CEError(f"constraint mentions term symbols: {', '.join(sorted(foreign))}")
 
     @property
     def trivial_constraint(self) -> bool:
@@ -179,11 +196,22 @@ class _Side(NamedTuple):
 
 @dataclass
 class CETheory:
+    """A signature, its model and its equations, with one memo of outcomes.
+
+    A bounded search's outcome depends only on the theory and the search's
+    inputs, so `outcomes` keeps it for as long as the theory lives:
+    conversion_search's trace or None, keyed by everything the search reads
+    (its endpoints, limits, value pool, seed terms and calc_only), and None
+    for a validity.proof_search that ended without a verdict, keyed by goal
+    and budgets.  It keeps only these immutable outcomes, never search state.
+    """
+
     signature: Signature
     model: UnderlyingModel
     equations: tuple[ConstrainedEquation, ...]
 
     def __post_init__(self) -> None:
+        self.outcomes: dict[tuple, Optional[ConversionTrace]] = {}
         # by equation index, then direction
         self._sides = tuple(_Side.of(i, direction, eq, self.model)
                             for i, eq in enumerate(self.equations) for direction in ("lr", "rl"))
@@ -686,12 +714,34 @@ def conversion_search(
     the first expansion that meets within the bound, which need not be the
     shortest trace.
 
-    draw_memos, if given, is the caller's dict of memos of draws by draw
-    context (see search_expander); None draws with a memo of this search.
+    The outcome is kept in theory.outcomes, and a later call with the same
+    arguments, draw_memos aside, returns it without searching.  draw_memos,
+    if given, is the caller's dict of memos of draws by draw context (see
+    search_expander); None draws with a memo of this search.  Neither the
+    trace nor the verdict depends on it.
     """
     if sort_of(s) != sort_of(t):
         raise CEError("conversion endpoints must have the same sort")
     limits = limits or SearchLimits()
+    seed_terms = tuple(seed_terms)
+    # limits' field values, read directly: dataclasses.astuple would copy them
+    key = (s, t, tuple(vars(limits).values()),
+           None if value_pool is None else tuple((k, tuple(v)) for k, v in value_pool.items()),
+           seed_terms, calc_only)
+    trace = theory.outcomes.get(key, _UNSEEN)
+    if trace is _UNSEEN:
+        trace = theory.outcomes[key] = _search(theory, s, t, limits, value_pool, seed_terms,
+                                               calc_only, draw_memos)
+    return trace
+
+
+_UNSEEN = object()  # no outcome kept for the key
+
+
+def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
+            value_pool: Optional[dict[Sort, tuple]], seed_terms: tuple[Term, ...],
+            calc_only: bool, draw_memos: Optional[DrawMemos]) -> Optional[ConversionTrace]:
+    """conversion_search's search, run on a miss of the theory's memo."""
     model = theory.model
     s0, prefix = calc_trace(model, s)
     t0, post = calc_trace(model, t)

@@ -224,7 +224,9 @@ class UnderlyingModel:
         values; every operator node calls this model's interpretation
         function.  Nothing raises here: a variable outside order, or a symbol
         without interpretation, compiles to a node that raises EvalError when
-        evaluation reaches it, left to right and outermost first.
+        evaluation reaches it, left to right and outermost first; a ground
+        subterm whose interpretation raises is left unfolded, to raise the
+        same error there.
         """
         index = {v: i for i, v in enumerate(order)}
         interp = self.interp
@@ -242,7 +244,11 @@ class UnderlyingModel:
                 return _FN, _raiser(f"no interpretation for {u.fun.name}")
             args = [build(a) for a in u.args]
             if all(kind == _CONST for kind, _ in args):
-                return _CONST, fn(*(x for _, x in args))
+                values = [x for _, x in args]
+                try:
+                    return _CONST, fn(*values)
+                except Exception:  # a model's own function, e.g. a division by zero
+                    return _FN, lambda env: fn(*values)
             return _FN, _node(fn, args)
 
         kind, x = build(t)

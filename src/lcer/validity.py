@@ -24,12 +24,19 @@ instantiated once per call and draw context, not once per sample.  A sample
 whose value or term pool differs (a value outside the default pool, say)
 gets a memo of its own.  Only exact draws are shared, so traces and verdicts
 are those of searches with memos of their own.
+
+Outcomes outlive a call: the theory's memo (`equations.CETheory`) answers a
+sampled search that an earlier call or sample already ran, and
+`proof_search` records there a run that ended without a verdict, so
+`prove_heuristic` after a `check_ce_validity` that found no proof does not
+run steps (1) and (2) again.  The memos of draws are no part of its keys,
+since no trace or verdict depends on them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Iterator, Optional
 
 from .equations import (
@@ -234,11 +241,20 @@ def _symbolic_reachable(theory: CETheory, ce: ConstrainedEquation, budgets: Vali
 def proof_search(theory: CETheory, ce: ConstrainedEquation,
                  budgets: ValidityBudgets) -> Iterator[ValidityStatus]:
     """Steps (1) and (2) of check_ce_validity: its proof verdicts for ce, in
-    the order it tries them, each computed only when asked for."""
+    the order it tries them, each computed only when asked for.  A search
+    that ends without a verdict is recorded in theory.outcomes, and a later
+    one with the same goal and budgets yields nothing at once."""
+    # the field values of budgets, its oracle budget's and limits' as tuples
+    key = (ce, *(tuple(vars(v).values()) if is_dataclass(v) else v
+                 for v in vars(budgets).values()))
+    if key in theory.outcomes:
+        return
+    proved = False
     # (1) closed goals: validity coincides with plain convertibility
     if ce.closed:
         trace = conversion_search(theory, ce.lhs, ce.rhs, budgets.search_limits())
         if trace is not None:
+            proved = True
             yield ValidityStatus("proved-ground-conversion", trace=trace)
 
     # (2) rewrite both sides toward a trivial constrained equation
@@ -251,8 +267,11 @@ def proof_search(theory: CETheory, ce: ConstrainedEquation,
     # rewriting keeps sorts, so each pair is a well-formed equation
     for ls, rs in pairs[: budgets.max_trivial_pairs]:
         if is_trivial(theory, ConstrainedEquation(X, ls, rs, phi), budgets.oracle).is_valid:
+            proved = True
             yield ValidityStatus("proved-by-triviality", gap=(ls, rs),
                                  gap_traces=(left[ls], right[rs]))
+    if not proved:
+        theory.outcomes[key] = None
 
 
 def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from lcer.equations import CETheory
 from lcer.syntax import parse_theory
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -16,6 +17,11 @@ def load_fixture(name: str):
 
 def load_theory(name: str):
     return parse_theory(load_fixture(name))
+
+
+def fresh_copy(theory: CETheory) -> CETheory:
+    """theory's signature, model and equations, with an empty memo of outcomes."""
+    return CETheory(theory.signature, theory.model, theory.equations)
 
 
 @pytest.fixture(scope="session")

@@ -173,6 +173,18 @@ def test_algebra_with_a_wrongly_sorted_element_is_an_input_error(capsys, tmp_pat
     assert code == 3 and doc["verdict"] == "input-error"
 
 
+def test_term_symbol_in_a_constraint_is_an_input_error(capsys, tmp_path):
+    # constraints are theory terms: p is a term symbol, refused when the
+    # equation is built rather than failing every rule step that checks it
+    theory = tmp_path / "p.th"
+    theory.write_text("(theory (model lia) (sorts U) (fun f (Int) U) (fun g (Int) U)"
+                      " (fun p (Int) Bool) (eq (vars (x Int) (y Int)) (pi x y)"
+                      " (constraint (and (= (+ x 1) y) (p y))) (f x) (g y)))")
+    code, doc = run_json(capsys, "convert", str(theory), "-l", "f(1)", "-r", "g(2)")
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert "constraint mentions term symbols: p" in doc["detail"]
+
+
 def test_exit_codes_are_total(capsys):
     # the verdict-to-exit-code mapping, exercised end to end
     table = [

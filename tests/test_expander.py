@@ -49,6 +49,8 @@ from lcer.terms import (
     vars_of,
 )
 
+from tests.conftest import load_theory
+
 
 def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
     model = theory.model
@@ -403,9 +405,11 @@ def test_search_scoped_draws_match_the_reference(group, monkeypatch):
     assert nonplain > 0
 
 
-def test_search_builds_rule_steps_only_for_its_trace(group, monkeypatch):
+def test_search_builds_rule_steps_only_for_its_trace(monkeypatch):
     # expinv's search makes tens of thousands of candidates; only the rule
-    # steps of the trace it returns become TraceSteps
+    # steps of the trace it returns become TraceSteps (a theory of its own,
+    # so that no earlier search's outcome is kept in its memo)
+    group = load_theory("group.th")
     theory = group.theory
     goal = group.goals["expinv"]
     built = []

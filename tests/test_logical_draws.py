@@ -22,7 +22,7 @@ import random
 
 import pytest
 
-from lcer.equations import CETheory, _draws_at, default_value_pool
+from lcer.equations import CETheory, ConstrainedEquation, _draws_at, default_value_pool
 from lcer.models import (
     BOOL,
     INT,
@@ -33,7 +33,7 @@ from lcer.models import (
     sort_domain,
 )
 from lcer.syntax import parse_term, parse_theory
-from lcer.terms import Variable, apply_subst, match, vars_of
+from lcer.terms import THEORY, App, FunSymbol, Variable, apply_subst, match, vars_of
 
 MODELS = {"lia": "lia", "intmod": "intmod 5", "bool": "bool"}
 
@@ -312,10 +312,17 @@ def test_a_pool_value_outside_the_carrier_raises_the_same_error():
 
 
 def test_a_guard_that_cannot_be_evaluated_raises_as_enumeration_did():
-    """p has no interpretation: enumerating raises at the first point, also
-    where the value the equality fixes, 101, is in neither the box nor the
-    pool, so nothing is computed for such a guard."""
-    theory = _theory(LIA, [("(and (= (+ x 1) y) (p y))", "(f x)", "(g y)")])
+    """p is a theory symbol the model does not interpret: enumerating raises
+    at the first point, also where the value the equality fixes, 101, is in
+    neither the box nor the pool, so nothing is computed for such a guard.
+    (A term symbol in a constraint is refused when the equation is built.)"""
+    base = _theory(LIA, [("(= (+ x 1) y)", "(f x)", "(g y)")])
+    eq = base.equations[0]
+    y = next(v for v in eq.logical_vars if v.name == "y")
+    p = App(FunSymbol("p", (INT,), BOOL, THEORY), (y,))
+    phi = App(base.model.symbols["and"], (eq.constraint, p))
+    theory = CETheory(base.signature, base.model,
+                      (ConstrainedEquation(eq.logical_vars, eq.lhs, eq.rhs, phi),))
     assert theory._sides[0].guard.solve is None
     pool = {theory.model.sorts["Int"]: (1,)}
     for redex in ("f(100)", "g(3)"):  # y is not computed on the left, nor x on the right

@@ -147,3 +147,21 @@ def test_intmod_and_bool_models():
     assert not LIA.finite
     with pytest.raises(ValueError):
         intmod_model(65)
+
+
+def test_compile_leaves_a_ground_subterm_that_raises_to_evaluation():
+    # a custom model whose div is Python's //: compile raises nothing, and
+    # evaluation raises what interpret raises on the same ground subterm
+    model = lia_model()
+    model.interp = {**model.interp, "div": lambda a, b: a // b}
+    sym = model.symbols
+    x = Variable("x", INT)
+    zero, one = model.value_term(INT, 0), model.value_term(INT, 1)
+    quotient = App(sym["div"], (one, zero))
+    phi = App(sym["and"], (App(sym["=Int"], (x, zero)), App(sym["=Int"], (x, quotient))))
+    holds = model.compile(phi, [x])
+    with pytest.raises(ZeroDivisionError):
+        model.interpret(quotient)
+    with pytest.raises(ZeroDivisionError):
+        holds((0,))
+    assert model.compile(App(sym["div"], (one, one)), [x])((0,)) == 1  # still folded

@@ -39,8 +39,9 @@ def test_every_tracer_hook_resolves():
             "equations.rule_step_candidates"} <= names
 
 
-def test_one_rule_step_candidates_call_per_expansion(group, monkeypatch):
-    theory = group.theory
+def test_one_rule_step_candidates_call_per_expansion(monkeypatch):
+    # a theory of its own, so that no earlier search's outcome is kept in its memo
+    theory = load_theory("group.th").theory
     s, t = _group_search_endpoints(theory)
 
     expansions = []
@@ -82,10 +83,10 @@ def _group_search_endpoints(theory):
             parse_term(theory, "e"))
 
 
-def test_each_redex_is_matched_once_per_side_per_search(group, monkeypatch):
+def test_each_redex_is_matched_once_per_side_per_search(monkeypatch):
     # a search draws the rule steps of a redex once, however many positions
-    # and expansions it recurs at
-    theory = group.theory
+    # and expansions it recurs at (a theory of its own, as above)
+    theory = load_theory("group.th").theory
     s, t = _group_search_endpoints(theory)
     matched = Counter()
     match = equations.match

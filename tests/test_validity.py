@@ -18,7 +18,7 @@ from lcer.validity import (
     proof_search,
 )
 
-from tests.conftest import load_theory
+from tests.conftest import fresh_copy, load_theory
 from tests.genrandom import finite_theory, random_equation
 
 
@@ -104,10 +104,12 @@ def test_closed_goal_is_searched_once(monkeypatch):
                                 detail="no satisfying instances in the sample box")
 
 
-def test_symbolic_steps_are_drawn_once_per_redex_per_proof_search(absmax, monkeypatch):
+def test_symbolic_steps_are_drawn_once_per_redex_per_proof_search(monkeypatch):
     # both sides of maxcomm share the redexes x and y, and every term they
     # reach holds them: one proof_search matches each distinct redex once
     # per candidate side, however many positions and expansions it recurs at
+    # (a theory of its own, so that no earlier search's outcome is kept)
+    absmax = load_theory("absmax.th")
     theory = absmax.theory
     matched = Counter()
     match = validity.match
@@ -146,7 +148,9 @@ def _shared_and_reference(theory, ce, budgets, monkeypatch):
     """check_ce_validity as it is, with its sampled searches sharing memos of
     draws, and the reference: the same call with every sampled search
     drawing from a memo of its own.  Also the number of draw contexts the
-    shared call made memos for."""
+    shared call made memos for.  Each call runs on a copy of theory of its
+    own, so that neither reads an outcome the other, or an earlier test,
+    left in the theory's memo."""
     search = validity.conversion_search
     given = []
 
@@ -160,10 +164,10 @@ def _shared_and_reference(theory, ce, budgets, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(validity, "conversion_search", recording)
-        shared = check_ce_validity(theory, ce, budgets)
+        shared = check_ce_validity(fresh_copy(theory), ce, budgets)
     with monkeypatch.context() as m:
         m.setattr(validity, "conversion_search", unshared)
-        reference = check_ce_validity(theory, ce, budgets)
+        reference = check_ce_validity(fresh_copy(theory), ce, budgets)
     assert all(memos is given[0] for memos in given)  # one dict per call
     return shared, reference, len(given[0]) if given else 0
 
@@ -226,9 +230,11 @@ def test_sampled_corpus_goals_match_the_reference(monkeypatch):
     assert seen_kinds == {"confirmed-on-samples", "no-conversion-within-bound"}
 
 
-def test_maxcomm_matches_each_redex_once_per_side_per_call(absmax, monkeypatch):
+def test_maxcomm_matches_each_redex_once_per_side_per_call(monkeypatch):
     # the 121 sampled searches of maxcomm have one draw context; step (2)'s
     # symbolic rewriting calls validity's own binding of match, not counted
+    # (a theory of its own, so that no earlier search's outcome is kept)
+    absmax = load_theory("absmax.th")
     theory = absmax.theory
     matched = Counter()
     match = equations.match
