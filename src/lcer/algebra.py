@@ -5,9 +5,12 @@ congruences/quotients, and value-consistency of a theory.
 Carrier elements are the underlying model's elements plus fresh atoms (written
 with a leading '#').  A theory symbol keeps its model interpretation on
 underlying elements; only entries touching fresh elements live in tables.
-Counter-model search branches lazily on exactly the table entries that the
-checks actually consult, in a fixed deterministic order, so the first algebra
-found is canonical for the documented order.
+FiniteCEAlgebra.apply is the one interpretation of a symbol on elements, and a
+missing table entry goes to its hook, `missing`.  Counter-model search checks
+on a shell algebra whose hook raises: it branches lazily on exactly the table
+entries that the checks consult, assigns each into the shell's tables in place
+and deletes it on backtrack, in a fixed deterministic order, so the first
+algebra found is canonical for the documented order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .equations import (
     CETheory,
@@ -74,13 +77,7 @@ class FiniteCEAlgebra:
         """Give each theory symbol an entry, where its table has none, on
         every tuple that touches a fresh element: the first element of the
         result carrier."""
-        for f in self.theory.model.symbols.values():
-            table = self.tables.setdefault(f.name, {})
-            if f.result_sort not in self.carriers:
-                continue  # validate reports the missing carrier
-            for combo in itertools.product(*(self.carriers.get(s, ()) for s in f.arg_sorts)):
-                if not self.model_decides(f, combo):
-                    table.setdefault(combo, self.carriers[f.result_sort][0])
+        _fill_first(self, self.theory.model.symbols.values())
 
     def validate(self) -> None:
         model = self.theory.model
@@ -119,18 +116,38 @@ class FiniteCEAlgebra:
                 raise AlgebraError(
                     f"value {t.fun.name} is outside the declared carrier slice")
             return t.fun.value
-        args = tuple(self.eval(a, rho) for a in t.args)
-        if self.model_decides(t.fun, args):
-            result = self.theory.model.interp[t.fun.name](*args)
-            if result not in self.carriers[t.fun.result_sort]:
+        return self.apply(t.fun, tuple(self.eval(a, rho) for a in t.args))
+
+    def apply(self, f: FunSymbol, args: tuple) -> object:
+        """f on args: the underlying model's result where it decides them,
+        which must lie in the declared carrier slice, else the table entry."""
+        if self.model_decides(f, args):
+            result = self.theory.model.interp[f.name](*args)
+            if result not in self.carriers[f.result_sort]:
                 raise AlgebraError(
-                    f"{t.fun.name}{tuple(map(str, args))} leaves the declared "
+                    f"{f.name}{tuple(map(str, args))} leaves the declared "
                     "carrier slice")
             return result
-        table = self.tables.get(t.fun.name, {})
-        if args not in table:
-            raise AlgebraError(f"table for {t.fun.name} has no entry {tuple(map(str, args))}")
-        return table[args]
+        try:
+            return self.tables[f.name][args]
+        except KeyError:
+            return self.missing(f, args)
+
+    def missing(self, f: FunSymbol, args: tuple) -> object:
+        """The answer for f on args when its table has no entry."""
+        raise AlgebraError(f"table for {f.name} has no entry {tuple(map(str, args))}")
+
+
+def _fill_first(alg: FiniteCEAlgebra, symbols: Iterable[FunSymbol]) -> None:
+    """Give each of symbols an entry, where its table has none, on every tuple
+    that the model does not decide: the first element of the result carrier."""
+    for f in symbols:
+        table = alg.tables.setdefault(f.name, {})
+        if f.result_sort not in alg.carriers:
+            continue  # validate reports the missing carrier
+        for combo in itertools.product(*(alg.carriers.get(s, ()) for s in f.arg_sorts)):
+            if not alg.model_decides(f, combo):
+                table.setdefault(combo, alg.carriers[f.result_sort][0])
 
 
 def _ranges(alg: FiniteCEAlgebra, ce: ConstrainedEquation) -> tuple[list[Variable], list[tuple]]:
@@ -143,13 +160,24 @@ def _ranges(alg: FiniteCEAlgebra, ce: ConstrainedEquation) -> tuple[list[Variabl
     return variables, domains
 
 
-def _admissible(alg: FiniteCEAlgebra, ce: ConstrainedEquation) -> Iterator[dict[Variable, object]]:
+def _admissible(alg: FiniteCEAlgebra, ce: ConstrainedEquation,
+                limit: int | None = None) -> Iterator[dict[Variable, object]]:
     """Valuations under which ce's constraint holds, in declared order.  The
     constraint's variables are logical and range over underlying elements, so
     the underlying model answers it."""
     variables, domains = _ranges(alg, ce)
-    for combo in satisfying(alg.theory.model, variables, domains, ce.constraint):
+    for combo in satisfying(alg.theory.model, variables, domains, ce.constraint, limit):
         yield dict(zip(variables, combo))
+
+
+def _first_difference(alg: FiniteCEAlgebra, ce: ConstrainedEquation,
+                      valuations: Iterable[dict]) -> Optional[dict]:
+    """The first of valuations under which ce's sides differ in alg, or None.
+    A variable-free equation's valuation is {}, so callers test `is not None`."""
+    for rho in valuations:
+        if alg.eval(ce.lhs, rho) != alg.eval(ce.rhs, rho):
+            return rho
+    return None
 
 
 @dataclass(frozen=True)
@@ -166,12 +194,10 @@ def check_is_model(alg: FiniteCEAlgebra, max_valuations: int = 2_000_000) -> Mod
     """Valid iff every equation holds under every admissible valuation."""
     budget = max_valuations
     for i, ce in enumerate(alg.theory.equations):
-        variables, domains = _ranges(alg, ce)
-        for combo in satisfying(alg.theory.model, variables, domains, ce.constraint, budget):
-            rho = dict(zip(variables, combo))
-            if alg.eval(ce.lhs, rho) != alg.eval(ce.rhs, rho):
-                return ModelCheckResult(False, i, rho)
-        budget -= math.prod(len(d) for d in domains)
+        rho = _first_difference(alg, ce, _admissible(alg, ce, budget))
+        if rho is not None:
+            return ModelCheckResult(False, i, rho)
+        budget -= math.prod(len(d) for d in _ranges(alg, ce)[1])
         if budget < 0:
             raise AlgebraError("model check exceeded the valuation budget")
     return ModelCheckResult(True)
@@ -179,40 +205,20 @@ def check_is_model(alg: FiniteCEAlgebra, max_valuations: int = 2_000_000) -> Mod
 
 def check_refutes(alg: FiniteCEAlgebra, goal: ConstrainedEquation) -> Optional[dict]:
     """A valuation satisfying the goal's constraint with unequal sides, or None."""
-    for rho in _admissible(alg, goal):
-        if alg.eval(goal.lhs, rho) != alg.eval(goal.rhs, rho):
-            return rho
-    return None
+    return _first_difference(alg, goal, _admissible(alg, goal))
 
 
 # -- counter-model search --------------------------------------------------------
 
 class _Need(Exception):
-    def __init__(self, key: tuple[str, tuple], result_sort: Sort) -> None:
-        self.key = key
-        self.result_sort = result_sort
+    """Raised with (f, args): the shell has no entry for f on args."""
 
 
-class _Partial:
-    """Evaluator over a partial table assignment; missing entries raise _Need."""
+class _Shell(FiniteCEAlgebra):
+    """The search's partial algebra: a missing table entry raises _Need."""
 
-    def __init__(self, alg: FiniteCEAlgebra, assignment: dict) -> None:
-        self.alg = alg
-        self.assignment = assignment
-
-    def eval(self, t: Term, rho: dict[Variable, object]) -> object:
-        alg = self.alg
-        if isinstance(t, Variable):
-            return rho[t]
-        if t.fun.is_value:
-            return t.fun.value
-        args = tuple(self.eval(a, rho) for a in t.args)
-        if alg.model_decides(t.fun, args):
-            return alg.theory.model.interp[t.fun.name](*args)
-        key = (t.fun.name, args)
-        if key not in self.assignment:
-            raise _Need(key, t.fun.result_sort)
-        return self.assignment[key]
+    def missing(self, f: FunSymbol, args: tuple) -> object:
+        raise _Need(f, args)
 
 
 @dataclass
@@ -247,7 +253,7 @@ def search_counter_model(
         if sort.kind == TERM:
             carriers[sort] = tuple(f"#{sort.name.lower()}{i}" for i in range(term_sort_size))
 
-    shell = FiniteCEAlgebra(theory, carriers, {})
+    shell = _Shell(theory, carriers, {})
     bounds = (f"extra={max_extra_per_theory_sort} per theory sort, "
               f"term-sort size={term_sort_size}")
 
@@ -259,61 +265,36 @@ def search_counter_model(
     nodes = 0
     exhausted_budget = False
 
-    def run(assignment: dict) -> Optional[dict]:
-        """None if some equation fails; otherwise a refuting valuation or
-        raises _NoRefutation."""
-        ev = _Partial(shell, assignment)
-        for ce, valuations in eq_plans:
-            for rho in valuations:
-                if ev.eval(ce.lhs, rho) != ev.eval(ce.rhs, rho):
-                    return None
-        for rho in goal_valuations:
-            if ev.eval(goal.lhs, rho) != ev.eval(goal.rhs, rho):
-                return rho
-        raise _NoRefutation()
-
-    def solve(assignment: dict) -> Optional[tuple[dict, dict]]:
+    def solve() -> Optional[dict]:
         nonlocal nodes, exhausted_budget
         nodes += 1
         if nodes > max_nodes:
             exhausted_budget = True
             return None
         try:
-            rho = run(assignment)
+            # a refuting valuation if every equation holds, else None
+            for ce, valuations in eq_plans:
+                if _first_difference(shell, ce, valuations) is not None:
+                    return None
+            return _first_difference(shell, goal, goal_valuations)
         except _Need as need:
-            for value in shell.carriers[need.result_sort]:
-                assignment[need.key] = value
-                found = solve(assignment)
-                if found is not None:
-                    return found
-                del assignment[need.key]
+            f, args = need.args
+            table = shell.tables.setdefault(f.name, {})
+            for value in carriers[f.result_sort]:
+                table[args] = value
+                rho = solve()
+                if rho is not None:
+                    return rho
+                del table[args]
             return None
-        except _NoRefutation:
-            return None
-        if rho is None:
-            return None
-        return assignment, rho
 
-    found = solve({})
-    if found is None:
+    rho = solve()
+    if rho is None:
         return SearchOutcome(None, None, nodes, exhausted_budget, bounds)
-    assignment, rho = found
-
-    tables: dict[str, dict[tuple, object]] = {}
-    for (name, args), result in assignment.items():
-        tables.setdefault(name, {})[args] = result
-    for f in theory.signature.term_symbols():
-        table = tables.setdefault(f.name, {})
-        for combo in itertools.product(*(carriers[s] for s in f.arg_sorts)):
-            table.setdefault(combo, carriers[f.result_sort][0])
-    algebra = FiniteCEAlgebra(theory, carriers, tables)
-    algebra.fill_fresh_entries()
+    algebra = FiniteCEAlgebra(theory, carriers, shell.tables)
+    _fill_first(algebra, [*theory.signature.term_symbols(), *model.symbols.values()])
     algebra.validate()
     return SearchOutcome(algebra, rho, nodes, False, bounds)
-
-
-class _NoRefutation(Exception):
-    pass
 
 
 # -- congruences and quotients -----------------------------------------------
@@ -360,18 +341,12 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
     def rep(sort: Sort, e: object) -> object:
         return reps[sort][e]
 
-    def lookup(f: FunSymbol, combo: tuple) -> object:
-        if alg.model_decides(f, combo):
-            return alg.theory.model.interp[f.name](*combo)
-        return alg.tables[f.name][combo]
-
-    symbols = list(alg.theory.signature.term_symbols()) + \
-        list(alg.theory.model.symbols.values())
+    symbols = [*alg.theory.signature.term_symbols(), *alg.theory.model.symbols.values()]
     for f in symbols:
         by_rep: dict[tuple, tuple] = {}
         for combo in itertools.product(*(alg.carriers[s] for s in f.arg_sorts)):
             combo_rep = tuple(rep(s, e) for s, e in zip(f.arg_sorts, combo))
-            r = rep(f.result_sort, lookup(f, combo))
+            r = rep(f.result_sort, alg.apply(f, combo))
             prev = by_rep.get(combo_rep)
             if prev is None:
                 by_rep[combo_rep] = (r, combo)
@@ -388,9 +363,8 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
     for f in symbols:
         table: dict[tuple, object] = {}
         for combo in itertools.product(*(new_carriers[s] for s in f.arg_sorts)):
-            if alg.model_decides(f, combo):
-                continue
-            table[combo] = rep(f.result_sort, lookup(f, combo))
+            if not alg.model_decides(f, combo):
+                table[combo] = rep(f.result_sort, alg.apply(f, combo))
         if table:
             new_tables[f.name] = table
     out = FiniteCEAlgebra(alg.theory, new_carriers, new_tables)
@@ -534,23 +508,18 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
     return alg
 
 
-def _element_text(e: object) -> str:
-    if isinstance(e, bool):
-        return "true" if e else "false"
-    return str(e)
-
-
 def algebra_text(alg: FiniteCEAlgebra) -> str:
+    text = UnderlyingModel.value_name
     lines = ["(algebra"]
     for sort, elems in alg.carriers.items():
         lines.append(f"  (carrier {sort.name} " +
-                     " ".join(_element_text(e) for e in elems) + ")")
+                     " ".join(text(e) for e in elems) + ")")
     for name in sorted(alg.tables):
         entries = alg.tables[name]
         if not entries:
             continue
         parts = " ".join(
-            f"(({' '.join(_element_text(a) for a in args)}) {_element_text(r)})"
+            f"(({' '.join(text(a) for a in args)}) {text(r)})"
             for args, r in sorted(entries.items(), key=lambda kv: repr(kv[0])))
         lines.append(f"  (table {name} {parts})")
     lines.append(")")

@@ -29,6 +29,7 @@ from .equations import (
     replay_trace,
     rule_step_candidates,
 )
+from .models import UnderlyingModel
 from .oracle import OracleBudget, OracleFailure
 from .proofs import check_proof, prove_heuristic
 from .sexpr import ParseError
@@ -60,7 +61,8 @@ def _subst_json(sigma) -> dict:
 
 
 def _valuation_json(rho) -> dict:
-    return {v.name: str(e) for v, e in sorted(rho.items(), key=lambda kv: kv[0].name)}
+    return {v.name: UnderlyingModel.value_name(e)
+            for v, e in sorted(rho.items(), key=lambda kv: kv[0].name)}
 
 
 def _trace_json(trace) -> list[dict]:
@@ -349,6 +351,21 @@ def cmd_model_check(args):
     return exit_code, payload, lines
 
 
+def _count(text: str) -> int:
+    """The type of a non-negative integer option."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is an input error: exit 3, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_goal_opts(p):
     p.add_argument("-g", "--goal", help="named goal from the theory file")
     p.add_argument("-l", "--lhs", help="left term (s-expression or f(a,b) style)")
@@ -358,7 +375,7 @@ def _add_goal_opts(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="lcer",
         description="constrained equational reasoning: rewriting, validity, "
                     "proof checking, and counter-models")
@@ -368,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--solver", default=os.environ.get("LCRE_SOLVER"),
                         help="external SMT-LIB solver command")
-    common.add_argument("--timeout", type=int, default=10_000,
+    common.add_argument("--timeout", type=_count, default=10_000,
                         help="solver timeout in milliseconds")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -379,24 +396,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="normalize a term and list one-step successors")
     p.add_argument("-t", "--term", required=True)
     p.add_argument("--pool", help="comma-separated integer value pool")
-    p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--limit", type=int, default=50)
+    p.add_argument("--steps", type=_count, default=1)
+    p.add_argument("--limit", type=_count, default=50)
     p.set_defaults(fn=cmd_rewrite)
 
     p = sub.add_parser("convert", parents=[common],
                        help="search for a conversion between two closed terms")
     _add_goal_opts(p)
-    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--bound", type=_count, default=8)
     p.add_argument("--pool", help="comma-separated integer value pool")
-    p.add_argument("--max-growth", dest="max_growth", type=int)
+    p.add_argument("--max-growth", dest="max_growth", type=_count)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("validate", parents=[common],
                        help="semi-decide validity of a constrained equation")
     _add_goal_opts(p)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--box", type=int)
-    p.add_argument("--rewrite-depth", dest="rewrite_depth", type=int)
+    p.add_argument("--bound", type=_count)
+    p.add_argument("--box", type=_count)
+    p.add_argument("--rewrite-depth", dest="rewrite_depth", type=_count)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("check", parents=[common], help="check a proof file")
@@ -406,23 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", parents=[common],
                        help="generate a derivation for a goal")
     _add_goal_opts(p)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--box", type=int)
-    p.add_argument("--rewrite-depth", dest="rewrite_depth", type=int)
+    p.add_argument("--bound", type=_count)
+    p.add_argument("--box", type=_count)
+    p.add_argument("--rewrite-depth", dest="rewrite_depth", type=_count)
     p.add_argument("-o", "--out", help="write the proof here")
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("consistent", parents=[common],
                        help="bounded value-consistency check")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_count, default=8)
     p.set_defaults(fn=cmd_consistent)
 
     p = sub.add_parser("refute", parents=[common],
                        help="search for a finite counter-model of a goal")
     _add_goal_opts(p)
-    p.add_argument("--extra", type=int, default=1,
+    p.add_argument("--extra", type=_count, default=1,
                    help="fresh elements per theory sort")
-    p.add_argument("--term-size", dest="term_size", type=int, default=1,
+    p.add_argument("--term-size", dest="term_size", type=_count, default=1,
                    help="carrier size for each term sort")
     p.add_argument("-o", "--out", help="write the algebra here")
     p.set_defaults(fn=cmd_refute)

@@ -224,6 +224,17 @@ def test_quotient_rejects_incompatible(refute_bool):
         quotient(alg, FiniteCongruence(blocks))
 
 
+def test_quotient_of_a_carrier_slice_names_the_escaping_application():
+    # the slice Int {0, 1} is a model (no equations), but +(1, 1) = 2 leaves it,
+    # so the quotient has no representative for the result
+    tf = parse_theory("(theory (model lia) (sorts U) (fun c () U) (fun h (U) Int))")
+    alg = parse_algebra(tf.theory, """(algebra (carrier Int 0 1) (carrier Bool false true)
+      (carrier U #u) (table c (() #u)) (table h ((#u) 0)))""")
+    assert check_is_model(alg).ok
+    with pytest.raises(AlgebraError, match=r"^\+\('1', '1'\) leaves the declared carrier slice$"):
+        quotient(alg, identity_congruence(alg))
+
+
 def test_value_consistency_witness(inconsistent):
     rep = check_value_consistency(inconsistent.theory, depth=2)
     assert not rep.consistent

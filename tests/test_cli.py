@@ -204,6 +204,68 @@ def test_exit_codes_are_total(capsys):
         assert code == expected, argv
 
 
+BOOL_GOAL = ("(theory (model bool) (fun f (Bool) Bool)"
+             " (eq (pi x) (constraint true) (f x) true)"
+             " (goal g (pi x) (constraint true) (f x) x))")
+
+
+def test_refute_prints_bool_valuations_as_algebra_files_do(capsys, tmp_path):
+    theory = tmp_path / "bool.th"
+    theory.write_text(BOOL_GOAL)
+    code, out = run(capsys, "refute", str(theory), "-g", "g")
+    assert code == 0
+    assert out.splitlines()[0] == 'counter-model found; goal refuted at valuation {"x": "false"}'
+    code, doc = run_json(capsys, "refute", str(theory), "-g", "g")
+    assert code == 0 and doc["valuation"] == {"x": "false"}
+    assert "(carrier Bool false true #bool0)" in doc["algebra"]
+
+
+def test_model_check_prints_bool_valuations_as_algebra_files_do(capsys, tmp_path):
+    alg = tmp_path / "bad.alg"
+    alg.write_text("(algebra (carrier Bool true false)"
+                   " (table f ((true) false) ((false) true))"
+                   " (table g ((true) true) ((false) true)))")
+    code, out = run(capsys, "model-check", fx("refute_bool.th"), "-a", str(alg))
+    assert code == 1 and out == 'not a model: equation #0 fails at {"x": "true"}\n'
+    code, doc = run_json(capsys, "model-check", fx("refute_bool.th"), "-a", str(alg))
+    assert code == 1 and doc["valuation"] == {"x": "true"}
+
+
+NUMERIC_OPTIONS = [
+    ("validate", "absmax.th", "--bound"), ("validate", "absmax.th", "--box"),
+    ("prove", "absmax.th", "--rewrite-depth"), ("consistent", "mod12.th", "--depth"),
+    ("rewrite", "mod12.th", "--steps"), ("rewrite", "mod12.th", "--limit"),
+    ("refute", "refute_bool.th", "--extra"), ("refute", "refute_bool.th", "--term-size"),
+    ("convert", "mod12.th", "--max-growth"), ("parse", "mod12.th", "--timeout"),
+]
+
+
+@pytest.mark.parametrize("command, theory, option", NUMERIC_OPTIONS)
+@pytest.mark.parametrize("value", ["-1", "x", "1.5", ""])
+def test_bad_numeric_option_is_an_input_error(capsys, command, theory, option, value):
+    # a verdict on a negative bound, or argparse's exit 2 (which reads as
+    # "unknown"), would hide the mistake
+    with pytest.raises(SystemExit) as exc:
+        main([command, fx(theory), option, value])
+    assert exc.value.code == 3
+    assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
+
+
+def test_malformed_command_line_is_an_input_error(capsys):
+    for argv in (["parse"], ["validate", fx("absmax.th"), "--no-such-flag"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+    capsys.readouterr()
+
+
+def test_zero_is_a_valid_numeric_option(capsys):
+    code, doc = run_json(capsys, "convert", fx("mod12.th"), "-g", "clock", "--bound", "0")
+    assert code == 2 and doc["bound"] == 0
+    code, doc = run_json(capsys, "consistent", fx("mod12.th"), "--depth", "0")
+    assert code == 0 and doc["depth"] == 0
+
+
 def test_text_and_json_agree(capsys):
     code_t, out = run(capsys, "consistent", fx("inconsistent.th"), "--depth", "2")
     code_j, doc = run_json(capsys, "consistent", fx("inconsistent.th"), "--depth", "2")
