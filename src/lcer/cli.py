@@ -359,11 +359,37 @@ def _count(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A malformed command line is an input error: exit 3, not argparse's 2."""
+    """A malformed command line is an input error: exit 3, not argparse's 2.
+    When the command line asks for --format json (`json_errors`, set by
+    build_parser on every parser), the error is an input-error document."""
+
+    json_errors = False
 
     def error(self, message):
+        if self.json_errors:
+            _, _, command = self.prog.partition(" ")
+            _print_document(command or None, None, EXIT_INPUT,
+                            {"verdict": "input-error", "detail": message})
+            self.exit(EXIT_INPUT)
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _asks_json(argv) -> bool:
+    """argv gives --format json, in any spelling argparse accepts, however
+    malformed the rest of it is."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--format")
+    try:
+        return pre.parse_known_args(argv)[0].format == "json"
+    except argparse.ArgumentError:
+        return False
+
+
+def _print_document(command, seed, code, payload) -> None:
+    doc = {"schema": SCHEMA, "command": command, "exit_code": code, "seed": seed}
+    doc.update(payload)
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _add_goal_opts(p):
@@ -374,7 +400,7 @@ def _add_goal_opts(p):
     p.add_argument("--pi", help="space-separated logical variables")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(json_errors: bool = False) -> argparse.ArgumentParser:
     ap = _Parser(
         prog="lcer",
         description="constrained equational reasoning: rewriting, validity, "
@@ -449,12 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", "--algebra", required=True)
     _add_goal_opts(p)
     p.set_defaults(fn=cmd_model_check)
+    for parser in (ap, *sub.choices.values()):
+        parser.json_errors = json_errors
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_asks_json(argv)).parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
     except (ParseError, TheoryError, CEError, FileNotFoundError, AlgebraError,
@@ -473,10 +501,7 @@ def main(argv=None) -> int:
         code, payload, lines = EXIT_INTERNAL, {"verdict": "internal-error",
                                                "detail": detail}, [f"internal error: {detail}"]
     if args.format == "json":
-        doc = {"schema": SCHEMA, "command": args.command, "exit_code": code,
-               "seed": args.seed}
-        doc.update(payload)
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_document(args.command, args.seed, code, payload)
     else:
         for line in lines:
             print(line)

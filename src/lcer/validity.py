@@ -16,6 +16,15 @@ memo for both sides of a goal; it builds its edges with
 `equations.macro_edges` and its reachable sets with `equations.breadth_first`,
 as `reachable_terms` does.
 
+Step (2) asks the oracle whether the constraint is unsatisfiable (`not phi`
+valid) once per goal, and shares that verdict with every pair it tests.  If
+it is, every pair is vacuously trivial.  Otherwise is_trivial answers Valid
+on a pair only if each difference pair of its two sides is a theory term
+over X, and then the two sides have equal skeletons (`_skeleton`).  So the
+step is a hash join of the two reachable sets on their skeletons: only the
+joined pairs are tested, in the order of trace lengths, sizes and term keys,
+and `max_trivial_pairs` caps the pairs tested.
+
 Step (3) runs one conversion search per sample, and the samples of one goal
 mostly share their redexes and their draw context (see `equations`).  So
 `check_ce_validity` owns one dict of memos of draws by draw context, hands it
@@ -56,6 +65,7 @@ from .equations import (
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, Verdict, check_validity, valid, unknown
 from .terms import (
+    THEORY,
     App,
     Term,
     Variable,
@@ -63,6 +73,7 @@ from .terms import (
     decompose_differences,
     fresh_var,
     match,
+    sort_of,
     term_key,
     theory_over,
     vars_of,
@@ -139,10 +150,17 @@ def is_trivial(theory: CETheory, ce: ConstrainedEquation,
     budget = budget or OracleBudget()
     model = theory.model
     unsat = check_validity(model, App(model.symbols["not"], (ce.constraint,)), budget)
+    return _trivial_given(theory, ce, unsat, _some_satisfying(theory, ce, unsat), budget)
+
+
+def _trivial_given(theory: CETheory, ce: ConstrainedEquation, unsat: Verdict,
+                   sigma0: Optional[dict[Variable, Term]], budget: OracleBudget) -> Verdict:
+    """is_trivial's answer from the oracle's verdict `unsat` on the negated
+    constraint and `_some_satisfying`'s substitution `sigma0` for it, which
+    depend on the constraint and X only, so the pairs of one goal share them."""
     if unsat.is_valid:
         return valid()  # vacuously trivial
-
-    sigma0 = _some_satisfying(theory, ce, unsat)
+    model = theory.model
     _, pairs = decompose_differences(ce.lhs, ce.rhs)
     saw_unknown: Optional[Verdict] = None
     for a, b in pairs:
@@ -238,6 +256,25 @@ def _symbolic_reachable(theory: CETheory, ce: ConstrainedEquation, budgets: Vali
     return reachable(ce.lhs), reachable(ce.rhs)
 
 
+def _skeleton(t: Term, X: frozenset[Variable]) -> object:
+    """The key of t's skeleton: t with each maximal subterm that is theory
+    over X replaced by a hole, the subterm's Sort.  A variable outside X keys
+    as its term_key (a str) and any other subterm as a tuple of its symbol's
+    name and its arguments' keys, so equal keys are equal skeletons."""
+
+    def key(u: Term) -> object:  # None: u is theory over X
+        if isinstance(u, Variable):
+            return None if u in X else term_key(u)
+        keys = [key(a) for a in u.args]
+        if u.fun.kind == THEORY and all(k is None for k in keys):
+            return None
+        return (u.fun.name, *[sort_of(a) if k is None else k
+                              for a, k in zip(u.args, keys)])
+
+    k = key(t)
+    return sort_of(t) if k is None else k
+
+
 def proof_search(theory: CETheory, ce: ConstrainedEquation,
                  budgets: ValidityBudgets) -> Iterator[ValidityStatus]:
     """Steps (1) and (2) of check_ce_validity: its proof verdicts for ce, in
@@ -257,16 +294,27 @@ def proof_search(theory: CETheory, ce: ConstrainedEquation,
             proved = True
             yield ValidityStatus("proved-ground-conversion", trace=trace)
 
-    # (2) rewrite both sides toward a trivial constrained equation
+    # (2) rewrite both sides toward a trivial constrained equation.  Unless
+    # the constraint is unsatisfiable, only a pair with equal skeletons can be
+    # trivial, so the two reachable sets are joined on their skeletons
     X, phi = ce.logical_vars, ce.constraint
+    model = theory.model
     left, right = _symbolic_reachable(theory, ce, budgets)
-    pairs = sorted(
-        ((ls, rs) for ls in left for rs in right),
-        key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
-                       p[0].size + p[1].size, term_key(p[0]), term_key(p[1])))
+    unsat = check_validity(model, App(model.symbols["not"], (phi,)), budgets.oracle)
+    if unsat.is_valid:
+        pairs = [(ls, rs) for ls in left for rs in right]
+    else:
+        by_skeleton: dict[object, list[Term]] = {}
+        for rs in right:
+            by_skeleton.setdefault(_skeleton(rs, X), []).append(rs)
+        pairs = [(ls, rs) for ls in left for rs in by_skeleton.get(_skeleton(ls, X), ())]
+    pairs.sort(key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
+                              p[0].size + p[1].size, term_key(p[0]), term_key(p[1])))
+    sigma0 = _some_satisfying(theory, ce, unsat)
     # rewriting keeps sorts, so each pair is a well-formed equation
     for ls, rs in pairs[: budgets.max_trivial_pairs]:
-        if is_trivial(theory, ConstrainedEquation(X, ls, rs, phi), budgets.oracle).is_valid:
+        if _trivial_given(theory, ConstrainedEquation(X, ls, rs, phi), unsat, sigma0,
+                          budgets.oracle).is_valid:
             proved = True
             yield ValidityStatus("proved-by-triviality", gap=(ls, rs),
                                  gap_traces=(left[ls], right[rs]))

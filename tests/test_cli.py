@@ -259,6 +259,29 @@ def test_malformed_command_line_is_an_input_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, command", [
+    (["refute", fx("refute_bool.th"), "-g", "gf", "--extra", "-1"], "refute"),
+    (["parse"], "parse"),
+    (["validate", fx("absmax.th"), "--no-such-flag"], None),
+])
+def test_command_line_error_is_a_json_document_when_json_is_asked_for(capsys, argv, command):
+    for form in (["--format", "json"], ["--format=json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + form)
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["schema"] == "lcer-report/1" and doc["exit_code"] == 3
+        assert doc["verdict"] == "input-error" and doc["command"] == command
+        assert doc["detail"] and err == ""
+    # text mode is unchanged: usage and message on stderr, nothing on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: lcer") and "error: " in err
+
+
 def test_zero_is_a_valid_numeric_option(capsys):
     code, doc = run_json(capsys, "convert", fx("mod12.th"), "-g", "clock", "--bound", "0")
     assert code == 2 and doc["bound"] == 0
