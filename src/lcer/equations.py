@@ -839,13 +839,12 @@ def reachable_terms(
     depth: int,
     width: int = 200,
     value_pool: Optional[dict[Sort, tuple]] = None,
-    seed_terms: Iterable[Term] = (),
     limits: SearchLimits | None = None,
 ) -> dict[Term, ConversionTrace]:
     """Breadth-first set of terms convertible from start within depth macro steps."""
     limits = limits or SearchLimits()
     s0, prefix = calc_trace(theory.model, start)
-    expand = search_expander(theory, limits, [start], [start, *seed_terms],
+    expand = search_expander(theory, limits, [start], [start],
                              s0.size + limits.max_term_growth, value_pool)
     # shortest edges first: by trace length, then result size, then term_key
     return dict(breadth_first(s0, prefix, lambda u: sorted(expand(u), key=lambda e: (

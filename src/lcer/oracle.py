@@ -390,10 +390,10 @@ def _find_binding(model: UnderlyingModel, conj: list[Term]) -> Optional[tuple[Va
     return None
 
 
-def _propagate_equalities(model: UnderlyingModel, phi: Term, budget: OracleBudget,
-                          depth: int = 0) -> Optional[Verdict]:
+def _propagate_equalities(model: UnderlyingModel, phi: Term,
+                          budget: OracleBudget) -> Optional[Verdict]:
     """Decide phi = (A => B) by substituting variables that A pins down."""
-    if depth > 8 or not isinstance(phi, App) or phi.fun.name != "=>":
+    if not isinstance(phi, App) or phi.fun.name != "=>":
         return None
     ante, _ = phi.args
     found = _find_binding(model, _conjuncts(ante))

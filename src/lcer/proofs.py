@@ -395,11 +395,7 @@ def _simulate_step(theory: CETheory, whole_before: Term, step: TraceStep,
     after = step.result
     if step.kind == "calc":
         redex, value = (before, after) if step.direction == "lr" else (after, before)
-        core = Derivation("Axiom", ConstrainedEquation(
-            X, redex, value, phi))
-        if step.direction != "lr":
-            core = Derivation("Sym", ConstrainedEquation(X, before, after, phi),
-                              premises=(core,))
+        node = Derivation("Axiom", ConstrainedEquation(X, redex, value, phi))
     else:
         eq = theory.equations[step.eq_index]  # type: ignore[index]
         sigma = dict(step.subst)
@@ -408,33 +404,28 @@ def _simulate_step(theory: CETheory, whole_before: Term, step: TraceStep,
         tinst = Derivation("TheoryInstance",
                            ConstrainedEquation(X, inst.lhs, inst.rhs, inst.constraint),
                            witness=_frozen(sigma), premises=(rule,))
-        weak = Derivation("Weakening",
-                          ConstrainedEquation(X, inst.lhs, inst.rhs, phi),
+        node = Derivation("Weakening", ConstrainedEquation(X, inst.lhs, inst.rhs, phi),
                           premises=(tinst,))
-        core = weak
-        if step.direction != "lr":
-            core = Derivation("Sym", ConstrainedEquation(X, before, after, phi),
-                              premises=(core,))
-    node = core
+    if step.direction != "lr":
+        node = Derivation("Sym", ConstrainedEquation(X, before, after, phi), premises=(node,))
     # wrap outward along the position path
     for depth in range(len(step.position), 0, -1):
         prefix = step.position[:depth - 1]
         idx = step.position[depth - 1]
         parent_before = subterm_at(whole_before, prefix)
         assert isinstance(parent_before, App)
-        lhs_args = list(parent_before.args)
         rhs_args = list(parent_before.args)
         rhs_args[idx - 1] = node.conclusion.rhs
         premises = []
-        for i, arg in enumerate(lhs_args):
+        for i, arg in enumerate(parent_before.args):
             if i == idx - 1:
                 premises.append(node)
             else:
                 premises.append(Derivation("Refl",
                                            ConstrainedEquation(X, arg, arg, phi)))
         node = Derivation("Cong", ConstrainedEquation(
-            X, App(parent_before.fun, tuple(lhs_args)),
-            App(parent_before.fun, tuple(rhs_args)), phi), premises=tuple(premises))
+            X, parent_before, App(parent_before.fun, tuple(rhs_args)), phi),
+            premises=tuple(premises))
     return node
 
 

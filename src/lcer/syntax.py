@@ -290,12 +290,19 @@ def parse_theory(text: str) -> TheoryFile:
                 raise ParseError("model takes a name", node.line, node.col)
             mname = expect_atom(decl[0], "a model name").text
             arg = None
-            if len(decl) > 1:
-                arg = int(expect_atom(decl[1], "a modulus").text)
+            if mname == "intmod" and len(decl) > 1:
+                modulus = expect_atom(decl[1], "a modulus")
+                if not (modulus.text.isascii() and modulus.text.removeprefix("-").isdigit()):
+                    raise ParseError("expected an integer modulus", modulus.line, modulus.col)
+                arg = int(modulus.text)
             try:
                 model = builtin_model(mname, arg)
             except ValueError as e:
                 raise TheoryError("parse-error", str(e), node.line, node.col)
+            extra = decl[1 if arg is None else 2:]
+            if extra:
+                raise ParseError(f"too many arguments for model {mname}",
+                                 extra[0].line, extra[0].col)
         elif h in ("sorts", "sort"):
             for item in node.items[1:]:
                 sorts.append(Sort(expect_atom(item, "a sort name").text, TERM))

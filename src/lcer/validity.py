@@ -17,13 +17,15 @@ memo for both sides of a goal; it builds its edges with
 as `reachable_terms` does.
 
 Step (2) asks the oracle whether the constraint is unsatisfiable (`not phi`
-valid) once per goal, and shares that verdict with every pair it tests.  If
-it is, every pair is vacuously trivial.  Otherwise is_trivial answers Valid
-on a pair only if each difference pair of its two sides is a theory term
-over X, and then the two sides have equal skeletons (`_skeleton`).  So the
-step is a hash join of the two reachable sets on their skeletons: only the
-joined pairs are tested, in the order of trace lengths, sizes and term keys,
-and `max_trivial_pairs` caps the pairs tested.
+valid) once per goal.  If it is, every pair is vacuously trivial.  Otherwise
+is_trivial answers Valid on a pair only if each difference pair of its two
+sides is a theory term over X, and then the two sides have equal skeletons
+(`_skeleton`).  So the step is one lazy join of the two reachable sets: on
+their skeletons, or on one key for every pair of a vacuous goal.  Candidates
+are merged in the order of trace lengths, sizes and term keys, produced only
+when asked for, and `max_trivial_pairs` caps them.  A candidate of a
+satisfiable goal is trivial when the constraint entails each of its
+difference pairs.
 
 Step (3) runs one conversion search per sample, and the samples of one goal
 mostly share their redexes and their draw context (see `equations`).  So
@@ -44,6 +46,7 @@ since no trace or verdict depends on them.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Iterator, Optional
@@ -83,22 +86,6 @@ SAMPLE_CAVEAT = (
     "confirmed on every sampled instance; this is bounded evidence, not a proof")
 
 
-def _some_satisfying(theory: CETheory, ce: ConstrainedEquation,
-                     negated: Verdict) -> Optional[dict[Variable, Term]]:
-    """A constraint-satisfying X-valued substitution covering all of X, or
-    None, from `negated`, the oracle's verdict on the negated constraint."""
-    model = theory.model
-    if not negated.is_invalid:
-        return None
-    sigma = dict(negated.witness or {})
-    for x in ce.logical_vars:
-        if x not in sigma:
-            car = model.carriers[x.sort]
-            elem = car.elements[0] if car.finite else 0  # type: ignore[index]
-            sigma[x] = model.value_term(x.sort, elem)
-    return sigma
-
-
 def _symbolic_draws(theory: CETheory, sub: Term, X: frozenset[Variable],
                     phi: Term, budget: OracleBudget, value_pool) -> tuple[Draw, ...]:
     """The rule steps at the redex sub of an open term: equation variables
@@ -115,9 +102,7 @@ def _symbolic_draws(theory: CETheory, sub: Term, X: frozenset[Variable],
         if any(x in base and not theory_over(base[x], X)
                for x in eq.logical_vars):
             continue
-        unbound = sorted(
-            (eq.logical_vars | vars_of(side.dst)) - set(base),
-            key=lambda v: v.name)
+        unbound = sorted(side.logical_extras + side.term_extras, key=lambda v: v.name)
         # draw the goal's own variables or pool values for what matching
         # left unbound
         domains = []
@@ -134,10 +119,7 @@ def _symbolic_draws(theory: CETheory, sub: Term, X: frozenset[Variable],
                 sigma = dict(base)
                 sigma.update(zip(unbound, combo))
                 inst_phi = apply_subst(sigma, eq.constraint)
-                if not vars_of(inst_phi) <= X:
-                    continue
-                if not check_validity(model, model.implies(phi, inst_phi),
-                                      budget).is_valid:
+                if not check_validity(model, model.implies(phi, inst_phi), budget).is_valid:
                     continue
                 out.append(Draw(side, tuple([sigma[x] for x in side.variables])))
                 break  # one instantiation per redex keeps the search narrow
@@ -150,17 +132,16 @@ def is_trivial(theory: CETheory, ce: ConstrainedEquation,
     budget = budget or OracleBudget()
     model = theory.model
     unsat = check_validity(model, App(model.symbols["not"], (ce.constraint,)), budget)
-    return _trivial_given(theory, ce, unsat, _some_satisfying(theory, ce, unsat), budget)
-
-
-def _trivial_given(theory: CETheory, ce: ConstrainedEquation, unsat: Verdict,
-                   sigma0: Optional[dict[Variable, Term]], budget: OracleBudget) -> Verdict:
-    """is_trivial's answer from the oracle's verdict `unsat` on the negated
-    constraint and `_some_satisfying`'s substitution `sigma0` for it, which
-    depend on the constraint and X only, so the pairs of one goal share them."""
     if unsat.is_valid:
         return valid()  # vacuously trivial
-    model = theory.model
+    sigma0: Optional[dict[Variable, Term]] = None  # a satisfying X-valued instance
+    if unsat.is_invalid:
+        sigma0 = dict(unsat.witness or {})
+        for x in ce.logical_vars:
+            if x not in sigma0:
+                car = model.carriers[x.sort]
+                elem = car.elements[0] if car.finite else 0  # type: ignore[index]
+                sigma0[x] = model.value_term(x.sort, elem)
     _, pairs = decompose_differences(ce.lhs, ce.rhs)
     saw_unknown: Optional[Verdict] = None
     for a, b in pairs:
@@ -296,25 +277,29 @@ def proof_search(theory: CETheory, ce: ConstrainedEquation,
 
     # (2) rewrite both sides toward a trivial constrained equation.  Unless
     # the constraint is unsatisfiable, only a pair with equal skeletons can be
-    # trivial, so the two reachable sets are joined on their skeletons
+    # trivial, so the two reachable sets are joined on their skeletons, and
+    # on one key for every pair if it is
     X, phi = ce.logical_vars, ce.constraint
     model = theory.model
     left, right = _symbolic_reachable(theory, ce, budgets)
-    unsat = check_validity(model, App(model.symbols["not"], (phi,)), budgets.oracle)
-    if unsat.is_valid:
-        pairs = [(ls, rs) for ls in left for rs in right]
-    else:
-        by_skeleton: dict[object, list[Term]] = {}
-        for rs in right:
-            by_skeleton.setdefault(_skeleton(rs, X), []).append(rs)
-        pairs = [(ls, rs) for ls in left for rs in by_skeleton.get(_skeleton(ls, X), ())]
-    pairs.sort(key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
-                              p[0].size + p[1].size, term_key(p[0]), term_key(p[1])))
-    sigma0 = _some_satisfying(theory, ce, unsat)
-    # rewriting keeps sorts, so each pair is a well-formed equation
-    for ls, rs in pairs[: budgets.max_trivial_pairs]:
-        if _trivial_given(theory, ConstrainedEquation(X, ls, rs, phi), unsat, sigma0,
-                          budgets.oracle).is_valid:
+    vacuous = check_validity(model, App(model.symbols["not"], (phi,)), budgets.oracle).is_valid
+    join = (lambda t: None) if vacuous else (lambda t: _skeleton(t, X))
+    buckets: dict[object, list[Term]] = {}
+    for rs in sorted(right, key=lambda rs: (len(right[rs]), rs.size, term_key(rs))):
+        buckets.setdefault(join(rs), []).append(rs)
+    # one stream per left term, merged by the pair key; term_key is injective,
+    # so the merge is the sorted list of candidates
+    candidates = heapq.merge(
+        *(zip(itertools.repeat(ls), buckets.get(join(ls), ())) for ls in left),
+        key=lambda p: (len(left[p[0]]) + len(right[p[1]]), p[0].size + p[1].size,
+                       term_key(p[0]), term_key(p[1])))
+    # rewriting keeps sorts, so each pair decomposes; equal skeletons make
+    # each difference pair a theory term over X
+    for ls, rs in itertools.islice(candidates, budgets.max_trivial_pairs):
+        if vacuous or all(
+                check_validity(model, model.implies(phi, model.equality(a, b)),
+                               budgets.oracle).is_valid
+                for a, b in decompose_differences(ls, rs)[1]):
             proved = True
             yield ValidityStatus("proved-by-triviality", gap=(ls, rs),
                                  gap_traces=(left[ls], right[rs]))
@@ -335,12 +320,9 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
     closed = ce.closed  # the one, empty, sample is the goal step (1) searched in vain
     draw_memos: DrawMemos = {}
     count = 0
-    for sigma in enumerate_satisfying(model, ce.logical_vars, ce.constraint,
-                                      box=budgets.box):
+    for sigma in itertools.islice(enumerate_satisfying(model, ce.logical_vars, ce.constraint,
+                                                       box=budgets.box), budgets.max_samples):
         count += 1
-        if count > budgets.max_samples:
-            count -= 1
-            break
         if closed:
             trace = None
         else:

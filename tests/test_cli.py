@@ -39,6 +39,14 @@ def test_parse_input_error(capsys, tmp_path):
     assert code == 3 and doc["verdict"] == "input-error"
 
 
+def test_malformed_model_declaration_is_a_located_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.th"
+    bad.write_text("(theory (model intmod x))")
+    code, doc = run_json(capsys, "parse", str(bad))
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert doc["detail"] == "1:23: expected an integer modulus"
+
+
 @pytest.mark.parametrize("name, sort", [("3", "Int"), ("-2", "Int"), ("true", "Bool")])
 def test_symbol_name_that_reads_as_a_value(capsys, tmp_path, name, sort):
     bad = tmp_path / "bad.th"

@@ -1,9 +1,10 @@
-"""Step (2) of proof_search joins the two reachable sets on skeletons.  These
-tests compare it with a reference, the nested loop over every pair in
-proof_search's sort order with the public is_trivial: no pair the loop finds
-trivial has unequal skeletons (unless the goal is vacuous), and wherever the
-loop finds a gap within its first max_trivial_pairs pairs, proof_search
-yields the same first gap with the same traces."""
+"""Step (2) of proof_search joins the two reachable sets on skeletons (on
+one key for every pair of a vacuous goal) and merges the candidates lazily.
+These tests compare it with a reference, the nested loop over every pair in
+the sort order with the public is_trivial: no pair the loop finds trivial
+has unequal skeletons (unless the goal is vacuous), and proof_search yields
+exactly the trivial pairs among the loop's first max_trivial_pairs
+candidates, in order, with their traces."""
 
 import random
 
@@ -14,7 +15,7 @@ from lcer.equations import ConstrainedEquation
 from lcer.oracle import check_validity
 from lcer.proofs import check_proof, prove_heuristic, simulate_trace
 from lcer.syntax import parse_goal_spec
-from lcer.terms import App, term_key, vars_of
+from lcer.terms import App, decompose_differences, term_key, vars_of
 from lcer.validity import ValidityBudgets, check_ce_validity, is_trivial, proof_search
 
 from tests.conftest import fresh_copy
@@ -54,8 +55,8 @@ def _cases(request):
 
 
 def _nested_loop(theory, ce, budgets):
-    """Every pair of the two reachable sets in the old sort order, and the
-    sets with their traces."""
+    """Every pair of the two reachable sets in the sort order of step (2),
+    and the sets with their traces."""
     left, right = validity._symbolic_reachable(theory, ce, budgets)
     pairs = sorted(((ls, rs) for ls in left for rs in right),
                    key=lambda p: (len(left[p[0]]) + len(right[p[1]]),
@@ -63,8 +64,16 @@ def _nested_loop(theory, ce, budgets):
     return left, right, pairs
 
 
-def test_the_join_keeps_every_trivial_pair_and_the_first_gap(request):
-    vacuous_goals = trivial_pairs = compared = 0
+def _entails_each_difference(theory, ce, budgets):
+    """Step (2)'s test of a joined pair of a satisfiable goal."""
+    model = theory.model
+    return all(check_validity(model, model.implies(ce.constraint, model.equality(a, b)),
+                              budgets.oracle).is_valid
+               for a, b in decompose_differences(ce.lhs, ce.rhs)[1])
+
+
+def test_the_join_yields_every_trivial_candidate_of_the_nested_loop(request):
+    vacuous_goals = joined = compared = statuses = 0
     for theory, ce, budgets in _cases(request):
         model = theory.model
         X, phi = ce.logical_vars, ce.constraint
@@ -72,26 +81,51 @@ def test_the_join_keeps_every_trivial_pair_and_the_first_gap(request):
                                  budgets.oracle).is_valid
         vacuous_goals += vacuous
         left, right, pairs = _nested_loop(theory, ce, budgets)
-        first = None
-        for i, (ls, rs) in enumerate(pairs):
-            if vacuous and i >= budgets.max_trivial_pairs:
+        candidates = []
+        for ls, rs in pairs:
+            pair = ConstrainedEquation(X, ls, rs, phi)
+            same = vacuous or validity._skeleton(ls, X) == validity._skeleton(rs, X)
+            if vacuous and len(candidates) >= budgets.max_trivial_pairs:
                 break
-            if not is_trivial(theory, ConstrainedEquation(X, ls, rs, phi),
-                              budgets.oracle).is_valid:
-                continue
-            trivial_pairs += 1
-            if first is None and i < budgets.max_trivial_pairs:
-                first = (ls, rs)
+            # is_trivial asks the same not phi first, and answers Valid if it is
+            trivial = vacuous or is_trivial(theory, pair, budgets.oracle).is_valid
             if not vacuous:
-                assert validity._skeleton(ls, X) == validity._skeleton(rs, X), (ce, ls, rs)
-        if first is None:
-            continue
-        compared += 1
-        status = next(s for s in proof_search(fresh_copy(theory), ce, budgets)
-                      if s.kind == "proved-by-triviality")
-        assert status.gap == first, ce
-        assert status.gap_traces == (left[first[0]], right[first[1]]), ce
-    assert vacuous_goals >= 4 and trivial_pairs > compared >= 70
+                assert same or not trivial, (ce, ls, rs)
+                if same:
+                    joined += 1
+                    assert _entails_each_difference(theory, pair, budgets) == trivial, pair
+            if same:
+                candidates.append(((ls, rs), trivial))
+        expected = [p for p, trivial in candidates[: budgets.max_trivial_pairs] if trivial]
+        yielded = [s for s in proof_search(fresh_copy(theory), ce, budgets)
+                   if s.kind == "proved-by-triviality"]
+        assert [s.gap for s in yielded] == expected, ce
+        assert [s.gap_traces for s in yielded] == [(left[a], right[b]) for a, b in expected]
+        compared += bool(expected)
+        statuses += len(expected)
+    assert vacuous_goals >= 4 and joined >= 150 and statuses > compared >= 70
+
+
+def test_the_first_gap_of_a_vacuous_goal_keys_few_terms(absmax, monkeypatch):
+    # every pair of a vacuous goal is a candidate, but the first status costs
+    # one sort of right and one merge step per stream, not a sort of all pairs
+    theory = fresh_copy(absmax.theory)
+    ce = parse_goal_spec(theory, "max(abs(x), y)", "max(y, abs(x))", "<(x, x)", "x y")
+    left, right = validity._symbolic_reachable(fresh_copy(theory), ce, ValidityBudgets())
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return term_key(t)
+
+    monkeypatch.setattr(validity, "term_key", counted)
+    status = next(proof_search(theory, ce, ValidityBudgets()))
+    assert 0 < calls < len(left) * len(right)
+    monkeypatch.undo()
+    assert status.kind == "proved-by-triviality"
+    assert status.gap == (ce.lhs, ce.rhs) and status.gap_traces == ((), ())
+    assert check_ce_validity(fresh_copy(absmax.theory), ce).gap == (ce.lhs, ce.rhs)
 
 
 @pytest.mark.parametrize("a, b, same", [

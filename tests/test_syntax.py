@@ -71,6 +71,26 @@ def test_parse_error_location():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("decl, col, message", [
+    ("(model intmod x)", 23, "expected an integer modulus"),
+    ("(model intmod 3 4)", 25, "too many arguments for model intmod"),
+    ("(model bool 3)", 21, "too many arguments for model bool"),
+    ("(model lia 12)", 20, "too many arguments for model lia"),
+])
+def test_malformed_model_declaration_is_a_located_parse_error(decl, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_theory(f"(theory {decl})")
+    assert (err.value.line, err.value.col, err.value.message) == (1, col, message)
+
+
+def test_model_declarations():
+    for decl, name in [("(model intmod 3)", "intmod 3"), ("(model bool)", "bool"),
+                       ("(model lia)", "lia")]:
+        assert parse_theory(f"(theory {decl})").theory.model.name == name
+    with pytest.raises(TheoryError, match="modulus must be in 1..64"):
+        parse_theory("(theory (model intmod -3))")
+
+
 def test_call_syntax(mod12):
     assert parse_term(mod12.theory, "cong(+(7,31))") == \
         parse_term(mod12.theory, "(cong (+ 7 31))")
