@@ -38,6 +38,7 @@ from .terms import (
     Sort,
     Term,
     Variable,
+    reads_as_value,
     subterms_of,
     term_key,
     vars_of,
@@ -433,11 +434,8 @@ def _parse_element(sort: Sort, atom: Atom) -> object:
         return text
     if sort == BOOL and text in ("true", "false"):
         return text == "true"
-    if sort == INT:
-        try:
-            return int(text)
-        except ValueError:
-            pass
+    if sort == INT and reads_as_value(text) and text not in ("true", "false"):
+        return int(text)
     raise ParseError(f"element {text} is not in the carrier of {sort.name}",
                      atom.line, atom.col)
 

@@ -22,7 +22,6 @@ from .algebra import (
     search_counter_model,
 )
 from .equations import (
-    CEError,
     SearchLimits,
     conversion_search,
     reachable_terms,
@@ -44,6 +43,7 @@ from .syntax import (
     serialize_proof,
     term_text,
 )
+from .terms import reads_as_value
 from .validity import ValidityBudgets, check_ce_validity
 
 SCHEMA = "lcer-report/1"
@@ -96,9 +96,26 @@ def _trace_lines(trace) -> list[str]:
     return lines
 
 
+def _read(path: str) -> str:
+    """A file named on the command line: one that cannot be read is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ValueError(str(e)) from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write to a file named on the command line: failing to is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ValueError(str(e)) from None
+
+
 def _load(args):
-    with open(args.theory, encoding="utf-8") as fh:
-        return parse_theory(fh.read())
+    return parse_theory(_read(args.theory))
 
 
 def _goal_from_args(tf, args):
@@ -139,7 +156,11 @@ def _limits(args) -> SearchLimits:
 def _pool_from_args(tf, args):
     if getattr(args, "pool", None):
         model = tf.theory.model
-        elems = tuple(int(x) for x in args.pool.split(","))
+        items = [x.strip() for x in args.pool.split(",")]
+        for x in items:
+            if not reads_as_value(x) or x in ("true", "false"):
+                raise TheoryError("parse-error", f"--pool item {x!r} is not an integer")
+        elems = tuple(map(int, items))
         int_sort = model.int_sort()
         pool = {}
         for name, sort in model.sorts.items():
@@ -244,8 +265,7 @@ def cmd_validate(args):
 
 def cmd_check(args):
     tf = _load(args)
-    with open(args.proof, encoding="utf-8") as fh:
-        d = parse_proof(tf.theory, fh.read())
+    d = parse_proof(tf.theory, _read(args.proof))
     budget = _budgets(args).oracle
     report = check_proof(tf.theory, d, budget)
     if report.accepted:
@@ -269,11 +289,9 @@ def cmd_prove(args):
         lines = ["no proof found within the budgets"]
         return EXIT_UNKNOWN, {"verdict": "no-proof"}, lines
     text = serialize_proof(d)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     lines = ["proof found and checked"]
     if args.out:
+        _write(args.out, text + "\n")
         lines.append(f"  written to {args.out}")
     else:
         lines.append(text)
@@ -314,8 +332,7 @@ def cmd_refute(args):
     alg_text = algebra_text(outcome.algebra)
     rho = _valuation_json(outcome.refuting_valuation)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(alg_text)
+        _write(args.out, alg_text)
     lines = ["counter-model found; goal refuted at valuation " + json.dumps(rho),
              alg_text.rstrip()]
     return EXIT_YES, {"verdict": "refuted", "valuation": rho,
@@ -324,8 +341,7 @@ def cmd_refute(args):
 
 def cmd_model_check(args):
     tf = _load(args)
-    with open(args.algebra, encoding="utf-8") as fh:
-        alg = parse_algebra(tf.theory, fh.read())
+    alg = parse_algebra(tf.theory, _read(args.algebra))
     result = check_is_model(alg)
     if not result.ok:
         rho = _valuation_json(result.valuation)
@@ -485,8 +501,7 @@ def main(argv=None) -> int:
     args = build_parser(_asks_json(argv)).parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
-    except (ParseError, TheoryError, CEError, FileNotFoundError, AlgebraError,
-            ValueError) as e:
+    except (ParseError, TheoryError, AlgebraError, ValueError) as e:
         code, payload, lines = EXIT_INPUT, {"verdict": "input-error",
                                             "detail": str(e)}, [f"error: {e}"]
     except RecursionError:

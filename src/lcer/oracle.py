@@ -318,7 +318,11 @@ def _formula_of(model: UnderlyingModel, t: Term):
                 return TRUE
             if set(p) == {()}:
                 return TRUE if p[()] >= 0 else FALSE
-            return ("atom", ("ge0", _pkey(p)), t)
+            # over the integers p >= 0 is the negation of -p - 1 >= 0: one atom
+            key, other = _pkey(p), _pkey(_padd(_pneg(p), _pconst(-1)))
+            if key > other:
+                return _mk_not(("atom", ("ge0", other), t))
+            return ("atom", ("ge0", key), t)
     return ("atom", ("term", t), t)
 
 

@@ -1,4 +1,4 @@
-"""Concrete syntax: theory files, goals, proof files, and algebra files.
+"""Concrete syntax: theory files, inline goals, and proof files.
 
 Everything is s-expressions in prefix notation.  Variable sorts are inferred
 from the positions they occupy; a `(vars (x Int) ...)` block pins them down
@@ -193,9 +193,36 @@ class TermReader:
                               f"term has sort {sort_of(t).name}, expected {expected.name}",
                               node.line, node.col)
 
+    def equation(self, lhs: Node, rhs: Node, constraint: Optional[Node],
+                 logical: Optional[list[str]], at: Optional[Node]) -> ConstrainedEquation:
+        """<X> lhs = rhs [constraint]: rhs read at lhs's sort, the constraint
+        at Bool (true when absent), X the named variables of the environment
+        (the constraint's variables when None).  Every error is a TheoryError,
+        located at `at`."""
+        line, col = (at.line, at.col) if at is not None else (0, 0)
+        left = self.parse(lhs)
+        right = self.parse(rhs, sort_of(left))
+        bool_sort = self.model.sorts["Bool"]
+        phi = self.model.value_term(bool_sort, True) if constraint is None \
+            else self.parse(constraint, bool_sort)
+        xs = vars_of(phi) if logical is None else set()
+        for name in logical or ():
+            if name not in self.env:
+                raise TheoryError("ill-sorted-equation",
+                                  f"logical variable {name} occurs neither in the equation "
+                                  "nor in a (vars ...) block", line, col)
+            xs.add(self.shared_variable(name, self.env[name]))
+        try:
+            return ConstrainedEquation(frozenset(xs), left, right, phi)
+        except CEError as e:
+            code = "constraint-vars-not-in-X" if "outside the logical set" in str(e) \
+                else "ill-sorted-equation"
+            raise TheoryError(code, str(e), line, col) from None
 
-def _read_vars_block(reader: TermReader, node: SList) -> list[Variable]:
-    """(vars (x Int) ...) or (vars x:Int ...); records sorts in the reader env."""
+
+def _read_vars_block(reader: TermReader, node: SList) -> list[str]:
+    """(vars (x Int) ...) or (vars x:Int ...); records sorts in the reader env
+    and returns the names."""
     out = []
     for item in node.items[1:]:
         if isinstance(item, Atom) and ":" in item.text:
@@ -213,7 +240,7 @@ def _read_vars_block(reader: TermReader, node: SList) -> list[Variable]:
                               f"variable {name} annotated at two sorts",
                               item.line, item.col)
         reader.env[name] = sort
-        out.append(reader.shared_variable(name, sort))
+        out.append(name)
     return out
 
 
@@ -246,27 +273,7 @@ def _parse_equation_like(theory: CETheory, node: SList, what: str):
         raise ParseError("constraint takes one formula", cons_node.line, cons_node.col)
     if len(items) != 2:
         raise ParseError(f"{what} needs LHS and RHS", node.line, node.col)
-
-    lhs = reader.parse(items[0])
-    rhs = reader.parse(items[1], sort_of(lhs))
-    bool_sort = theory.model.sorts["Bool"]
-    constraint = reader.parse(cons_node.items[1], bool_sort)
-    logical = []
-    for nm in pi_names:
-        sort = reader.env.get(nm)
-        if sort is None:
-            raise TheoryError("ill-sorted-equation",
-                              f"logical variable {nm} does not occur anywhere; "
-                              "annotate it in a (vars ...) block",
-                              pi_node.line, pi_node.col)
-        logical.append(reader.shared_variable(nm, sort))
-    try:
-        ce = ConstrainedEquation(frozenset(logical), lhs, rhs, constraint)
-    except CEError as e:
-        code = "constraint-vars-not-in-X" if "outside the logical set" in str(e) \
-            else "ill-sorted-equation"
-        raise TheoryError(code, str(e), node.line, node.col)
-    return name, ce
+    return name, reader.equation(items[0], items[1], cons_node.items[1], pi_names, node)
 
 
 def parse_theory(text: str) -> TheoryFile:
@@ -292,7 +299,7 @@ def parse_theory(text: str) -> TheoryFile:
             arg = None
             if mname == "intmod" and len(decl) > 1:
                 modulus = expect_atom(decl[1], "a modulus")
-                if not (modulus.text.isascii() and modulus.text.removeprefix("-").isdigit()):
+                if not reads_as_value(modulus.text) or modulus.text in ("true", "false"):
                     raise ParseError("expected an integer modulus", modulus.line, modulus.col)
                 arg = int(modulus.text)
             try:
@@ -419,31 +426,16 @@ def parse_term(theory: CETheory, text: str,
 def parse_goal_spec(theory: CETheory, lhs_text: str, rhs_text: str,
                     constraint_text: str | None = None,
                     pi_text: str | None = None) -> ConstrainedEquation:
-    env: dict[str, Sort] = {}
-    reader = TermReader(theory, env)
-    lhs = reader.parse(parse_call_term(lhs_text))
-    rhs = reader.parse(parse_call_term(rhs_text), sort_of(lhs))
-    bool_sort = theory.model.sorts["Bool"]
-    constraint = reader.parse(parse_call_term(constraint_text), bool_sort) \
-        if constraint_text else theory.model.value_term(bool_sort, True)
-    logical = []
-    for nm in (pi_text.split() if pi_text else []):
-        sort = env.get(nm)
-        if sort is None:
-            raise TheoryError("ill-sorted-equation",
-                              f"logical variable {nm} does not occur in the goal")
-        logical.append(reader.shared_variable(nm, sort))
-    if not pi_text:
-        logical = sorted(vars_of(constraint), key=lambda v: v.name)
-    return ConstrainedEquation(frozenset(logical), lhs, rhs, constraint)
+    return TermReader(theory).equation(
+        parse_call_term(lhs_text), parse_call_term(rhs_text),
+        parse_call_term(constraint_text) if constraint_text else None,
+        pi_text.split() if pi_text else None, None)
 
 
 # -- proof files ----------------------------------------------------------------
 
 def parse_proof(theory: CETheory, text: str) -> Derivation:
-    node = parse_one(text)
-    env: dict[str, Sort] = {}
-    return _parse_proof_node(theory, node, env)
+    return _parse_proof_node(theory, parse_one(text), {})
 
 
 def _parse_proof_node(theory: CETheory, node: Node, env: dict[str, Sort]) -> Derivation:
@@ -459,19 +451,13 @@ def _parse_proof_node(theory: CETheory, node: Node, env: dict[str, Sort]) -> Der
     conc_node = expect_list(rest.pop(0), "(conclusion ...)")
     reader = TermReader(theory, env)
     items = list(conc_node.items[1:])
-    xs: list[Variable] = []
+    xs: list[str] = []
     if items and head(items[0]) == "vars":
         xs = _read_vars_block(reader, expect_list(items.pop(0), "(vars ...)"))
     if len(items) != 3:
         raise ParseError("conclusion takes (vars ...) LHS RHS CONSTRAINT",
                          conc_node.line, conc_node.col)
-    lhs = reader.parse(items[0])
-    rhs = reader.parse(items[1], sort_of(lhs))
-    constraint = reader.parse(items[2], theory.model.sorts["Bool"])
-    try:
-        ce = ConstrainedEquation(frozenset(xs), lhs, rhs, constraint)
-    except CEError as e:
-        raise TheoryError("ill-sorted-equation", str(e), conc_node.line, conc_node.col)
+    ce = reader.equation(items[0], items[1], items[2], xs, conc_node)
 
     witness = None
     if rest and head(rest[0]) == "subst":
@@ -483,11 +469,7 @@ def _parse_proof_node(theory: CETheory, node: Node, env: dict[str, Sort]) -> Der
                 raise ParseError("expected (var TERM)", pair.line, pair.col)
             vname = expect_atom(pair.items[0], "a variable name").text
             image = reader.parse(pair.items[1], env.get(vname))
-            sort = env.get(vname)
-            if sort is None:
-                env[vname] = sort_of(image)
-                sort = env[vname]
-            pairs.append((Variable(vname, sort), image))
+            pairs.append((Variable(vname, env.setdefault(vname, sort_of(image))), image))
         witness = tuple(sorted(pairs, key=lambda kv: kv[0].name))
 
     premises = tuple(_parse_proof_node(theory, p, env) for p in rest)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -440,3 +441,111 @@ def test_convert_output_does_not_depend_on_the_hash_seed(hash_seed):
         cwd=root, env=env, capture_output=True, check=True)
     with open(os.path.join(GOLDEN, "convert_expinv.json"), "rb") as fh:
         assert done.stdout == fh.read()
+
+
+# -- one reading of a constrained equation on every surface -----------------------
+
+SURFACE_THEORY = ("(theory (model lia) (sorts U) (fun f (Int) Int) (fun g (Int) U)"
+                  " (fun p (Int) Bool){})")
+
+# each mistake with its one code, written as an equation of a theory file, a
+# proof conclusion and an inline goal; a proof's logical variables carry their
+# sorts, so a pi name that occurs nowhere has no proof form
+MISTAKES = {
+    "constraint-var-outside-pi": ("constraint-vars-not-in-X", {
+        "theory": "(eq (vars (y Int)) (pi y) (constraint (> x 0)) (f x) (f y))",
+        "proof": "(Refl (conclusion (f x) (f x) (> x 0)))",
+        "inline": ["-l", "f(x)", "-r", "f(y)", "-c", ">(x, 0)", "--pi", "y"]}),
+    "term-symbol-in-constraint": ("ill-sorted-equation", {
+        "theory": "(eq (pi x) (constraint (p x)) (f x) (f x))",
+        "proof": "(Refl (conclusion (vars (x Int)) (f x) (f x) (p x)))",
+        "inline": ["-l", "f(x)", "-r", "f(x)", "-c", "p(x)"]}),
+    "pi-name-nowhere": ("ill-sorted-equation", {
+        "theory": "(eq (pi z) (constraint true) (f 1) 1)",
+        "inline": ["-l", "f(1)", "-r", "1", "--pi", "z"]}),
+    "sides-of-different-sorts": ("ill-sorted-equation", {
+        "theory": "(eq (pi) (constraint true) (g 1) 1)",
+        "proof": "(Refl (conclusion (g 1) 1 true))",
+        "inline": ["-l", "g(1)", "-r", "1"]}),
+}
+
+
+@pytest.mark.parametrize("mistake, surface", [
+    (mistake, surface) for mistake, (_, forms) in MISTAKES.items() for surface in forms])
+def test_a_mistake_has_one_code_on_every_surface(capsys, tmp_path, mistake, surface):
+    code_of_mistake, forms = MISTAKES[mistake]
+    theory = tmp_path / "t.th"
+    theory.write_text(SURFACE_THEORY.format(" " + forms[surface] if surface == "theory" else ""))
+    if surface == "theory":
+        argv = ["parse", str(theory)]
+    elif surface == "proof":
+        prf = tmp_path / "t.prf"
+        prf.write_text(forms["proof"])
+        argv = ["check", str(theory), "-p", str(prf)]
+    else:
+        argv = ["validate", str(theory), *forms["inline"]]
+    code, doc = run_json(capsys, *argv)
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert re.match(r"(?:\d+:\d+: )?([\w-]+): ", doc["detail"]).group(1) == code_of_mistake
+
+
+# ROADMAP.md's reproducer of a known defect: prove_heuristic raises CEError from
+# _simulate_step on this valid goal, a fault of lcer and not of the input
+DEFECT_THEORY = """(theory (model bool) (sorts U)
+  (fun h (Bool) U) (fun k (U) U) (fun c0 () U) (fun pairf (U Bool) U)
+  (eq (vars (b Bool) (u U)) (pi b) (constraint (= b b)) u (pairf (pairf c0 false) b))
+  (eq (vars (b Bool)) (pi b) (constraint true) (k (k u)) (pairf (k u) false))
+  (goal g (vars (a Bool)) (pi a) (constraint (= a false)) (h a) (k (pairf c0 false))))"""
+
+
+def test_a_ceerror_raised_while_proving_is_an_internal_error(capsys, tmp_path):
+    theory = tmp_path / "defect.th"
+    theory.write_text(DEFECT_THEORY)
+    argv = ["prove", str(theory), "-g", "g", "--box", "4", "--rewrite-depth", "2"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 5 and doc["verdict"] == "internal-error"
+    assert doc["detail"].startswith("CEError: ")
+    code, out = run(capsys, *argv)
+    assert code == 5 and out.startswith("internal error: CEError: ")
+
+
+@pytest.mark.parametrize("item", ["1_4", "+2", "٣", "", "true"])
+def test_a_pool_item_that_is_no_integer_literal_is_an_input_error(capsys, item):
+    code, doc = run_json(capsys, "rewrite", fx("mod12.th"), "-t", "cong(+(7,31))",
+                         "--pool", f"0,{item}")
+    assert code == 3 and doc["verdict"] == "input-error"
+
+
+def test_pool_items_may_have_spaces_around_them(capsys):
+    spaced = run_json(capsys, "rewrite", fx("mod12.th"), "-t", "cong(+(7,31))",
+                      "--pool", "0, 1, 2")
+    plain = run_json(capsys, "rewrite", fx("mod12.th"), "-t", "cong(+(7,31))",
+                     "--pool", "0,1,2")
+    assert spaced[0] == 0 and spaced == plain
+
+
+@pytest.mark.parametrize("element", ["1_0", "+1", "١"])
+def test_an_algebra_int_element_that_is_no_integer_literal_is_an_input_error(
+        capsys, tmp_path, element):
+    theory = tmp_path / "u.th"
+    theory.write_text("(theory (model lia) (sorts U) (fun f (Int) U)"
+                      " (eq (pi x) (constraint true) (f x) (f 0)))")
+    alg = tmp_path / "u.alg"
+    alg.write_text(f"(algebra (carrier Int 0 {element}) (carrier Bool true false)"
+                   f" (carrier U #u0) (table f ((0) #u0) (({element}) #u0)))")
+    code, doc = run_json(capsys, "model-check", str(theory), "-a", str(alg))
+    assert code == 3 and doc["verdict"] == "input-error"
+
+
+# -- files named on the command line -----------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "{dir}"],
+    ["check", fx("group.th"), "-p", "{dir}"],
+    ["model-check", fx("refute_bool.th"), "-a", "{dir}", "-g", "gf"],
+    ["prove", fx("nneg.th"), "-l", "nneg(5)", "-r", "true", "--bound", "10", "-o", "{dir}"],
+    ["refute", fx("refute_bool.th"), "-g", "gf", "--extra", "1", "-o", "{dir}"],
+], ids=lambda argv: argv[0])
+def test_a_named_file_that_cannot_be_opened_is_an_input_error(capsys, tmp_path, argv):
+    code, doc = run_json(capsys, *[str(tmp_path) if a == "{dir}" else a for a in argv])
+    assert code == 3 and doc["verdict"] == "input-error"

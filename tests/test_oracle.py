@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from lcer.models import intmod_model, lia_model
 from lcer.oracle import check_validity
 from lcer.terms import App, Variable, apply_subst
@@ -61,6 +63,22 @@ def test_propositional_over_shared_atoms():
     n = v("n")
     phi = op("=>", op(">", n, c(0)), op(">=", n, c(1)))
     assert check_validity(LIA, phi).is_valid
+
+
+@pytest.mark.parametrize("phi", [
+    op("or", op(">=", v("x"), v("y")), op("<", v("x"), v("y"))),
+    op("or", op(">", v("x"), v("y")), op("<=", v("x"), v("y"))),
+    op("not", op("and", op(">=", v("x"), v("y")), op("<", v("x"), v("y")))),
+])
+def test_a_comparison_and_its_integer_negation_share_one_atom(phi):
+    # x >= y and x < y, that is y - x - 1 >= 0, are one atom and its negation
+    assert check_validity(LIA, phi).is_valid
+
+
+def test_two_comparisons_that_only_together_contradict_stay_unknown():
+    # x < y and x > y are two atoms; no backend sees that both cannot hold
+    phi = op("not", op("and", op("<", v("x"), v("y")), op(">", v("x"), v("y"))))
+    assert check_validity(LIA, phi).is_unknown
 
 
 def test_equality_propagation():
