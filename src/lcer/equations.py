@@ -39,6 +39,13 @@ conversion_search's trace, or None, in its memo of outcomes
 (`CETheory.outcomes`), keyed by everything the search reads but draw_memos,
 and a repeated search returns it without searching.
 
+When the theory's rules are orthogonal and terminating (`CETheory._rules`,
+analysed on the first search), two terms convert exactly when their normal
+forms are equal.  A search then first normalizes both endpoints, innermost,
+reading each redex's rule step from its memo of draws, and returns None
+before any expansion when the normal forms differ: the search itself would
+find no trace either.
+
 Conversion search is bidirectional best-first with one frontier, a heap of
 (steps + size, side, steps, term_key, node): terms are expanded in the order
 of steps + term size, then the left side before the right, then steps, then
@@ -58,10 +65,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .models import Guard, UnderlyingModel, sort_domain
 from .models import enumerate_satisfying  # noqa: F401  (the benchmark's tracer rebinds it here)
+from .oracle import check_validity
 from .terms import (
     THEORY,
     App,
@@ -80,6 +89,7 @@ from .terms import (
     subterms_of,
     term_key,
     trusted_app,
+    unify,
     vars_of,
 )
 
@@ -233,6 +243,59 @@ class CETheory:
                 s for s in self._sides if sort_of(s.src) == sort
                 and (isinstance(s.src, Variable) or s.src.fun.name == name))
         return found
+
+    @cached_property
+    def _rules(self) -> Optional[tuple[_Side, ...]]:
+        """The left-to-right sides if they are the rules of an orthogonal,
+        terminating system, else None; analysed on the first search.
+
+        A source is rooted in a term symbol, linear, holds no theory symbol but
+        values, and binds every variable of its equation.  A destination holds
+        no term symbol and no non-logical variable twice, so a rule step
+        removes a term symbol and a calc step shrinks the term.  Two sources
+        unify only at the root, and the oracle proves that their guards under
+        the unifier cannot both hold.  Rule and calc steps are then confluent
+        and terminating: two terms convert exactly when their normal forms
+        are equal.
+        """
+        rules = tuple(side for side in self._sides if side.direction == "lr")
+        for side in rules:
+            logical = self.equations[side.eq_index].logical_vars
+            src = list(subterms_of(side.src))
+            if (isinstance(side.src, Variable) or side.src.fun.kind == THEORY
+                    or side.logical_extras or side.term_extras
+                    or sum(isinstance(u, Variable) for u in src) != len(side.matched)
+                    or any(isinstance(u, App) and u.fun.kind == THEORY and not u.fun.is_value
+                           for u in src)
+                    or any(isinstance(u, App) and u.fun.kind != THEORY
+                           for u in subterms_of(side.dst))
+                    or any(n > 1 and side.variables[i] not in logical
+                           for i, n in side.occurrences)):
+                return None
+        symbols = self.model.symbols
+        for a in rules:
+            eq_a = self.equations[a.eq_index]
+            for b in rules:
+                eq_b = self.equations[b.eq_index]
+                apart = {x: Variable(x.name + " '", x.sort) for x in b.matched}
+                b_src, b_phi = (apply_subst(apart, u) for u in (b.src, eq_b.constraint))
+                logical = eq_a.logical_vars | {apart[x] for x in eq_b.logical_vars}
+                for p, u in positions_of(a.src):
+                    if isinstance(u, Variable) or not p and b.eq_index <= a.eq_index:
+                        continue
+                    sigma = unify(u, b_src)
+                    # a logical variable holds a value, never a term-rooted term
+                    if sigma is None or any(
+                            isinstance(sigma.get(x), App) and sigma[x].fun.kind != THEORY
+                            for x in logical):
+                        continue
+                    if p:
+                        return None
+                    both = App(symbols["and"], (apply_subst(sigma, eq_a.constraint),
+                                                apply_subst(sigma, b_phi)))
+                    if not check_validity(self.model, App(symbols["not"], (both,))).is_valid:
+                        return None
+        return rules
 
 
 # -- traces ------------------------------------------------------------------
@@ -649,6 +712,26 @@ def key_around(key: str, t: Term, q: Position) -> tuple[str, str]:
 DrawMemos = dict[tuple, dict[Term, tuple[Draw, ...]]]
 
 
+def _draw_context(theory: CETheory, limits: SearchLimits, goal_terms: Iterable[Term],
+                  pool_terms: Iterable[Term], value_pool: Optional[dict[Sort, tuple]],
+                  draw_memos: Optional[DrawMemos]
+                  ) -> tuple[dict[Sort, tuple], dict[Sort, tuple[Term, ...]], Optional[int],
+                             dict[Term, tuple[Draw, ...]]]:
+    """search_expander's value pool, term pool, solve box and memo of draws."""
+    solve_box = limits.solve_box
+    if value_pool is None:
+        value_pool = default_value_pool(theory, goal_terms)
+    else:
+        solve_box = None
+    term_pool = term_candidate_pool(pool_terms)
+    if draw_memos is None:
+        return value_pool, term_pool, solve_box, {}
+    # everything _draws_at reads but the redex
+    context = (solve_box, limits.cap_per_redex, tuple(value_pool.items()),
+               tuple(term_pool.get(s, ()) for s in theory.term_extra_sorts))
+    return value_pool, term_pool, solve_box, draw_memos.setdefault(context, {})
+
+
 def search_expander(
     theory: CETheory,
     limits: SearchLimits,
@@ -671,20 +754,9 @@ def search_expander(
     context, shared with every other search given the same dict and context.
     """
     model = theory.model
-    solve_box = limits.solve_box
-    if value_pool is None:
-        value_pool = default_value_pool(theory, goal_terms)
-    else:
-        solve_box = None
-    term_pool = term_candidate_pool(pool_terms)
+    value_pool, term_pool, solve_box, draws = _draw_context(
+        theory, limits, goal_terms, pool_terms, value_pool, draw_memos)
     pool_normal = calc_normal_pool(model, term_pool)
-    if draw_memos is None:
-        draws: dict[Term, tuple[Draw, ...]] = {}
-    else:
-        # everything _draws_at reads but the redex
-        context = (solve_box, limits.cap_per_redex, tuple(value_pool.items()),
-                   tuple(term_pool.get(s, ()) for s in theory.term_extra_sorts))
-        draws = draw_memos.setdefault(context, {})
 
     def expand(u: Term) -> Iterator[Edge]:
         cands = rule_step_candidates(theory, u, value_pool, term_pool, solve_box,
@@ -712,7 +784,9 @@ def conversion_search(
     expansion's edges are pushed as expand yields them, unsorted.  The
     returned trace is the best meet, by (steps, size, term_key), found by
     the first expansion that meets within the bound, which need not be the
-    shortest trace.
+    shortest trace.  On a theory whose rules are orthogonal and terminating
+    (CETheory._rules), endpoints whose normal forms differ return None
+    before any expansion, as the search would.
 
     The outcome is kept in theory.outcomes, and a later call with the same
     arguments, draw_memos aside, returns it without searching.  draw_memos,
@@ -754,6 +828,21 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
     if calc_only:  # no rule step: the calc normal forms differ
         return None
     budget = limits.bound - fixed
+    if theory._rules is not None:
+        # every edge is a rule step, forward or backward, and calc steps: a trace
+        # joins only terms with one normal form
+        draw_memos = {} if draw_memos is None else draw_memos
+        *pools, draws = _draw_context(theory, limits, [s, t], [s0, t0, *seed_terms],
+                                      value_pool, draw_memos)
+
+        def lr_draw(u: Term) -> Optional[Draw]:
+            found = draws.get(u)
+            if found is None:
+                found = draws[u] = _draws_at(theory, u, *pools, limits.cap_per_redex)
+            return next((d for d in found if d.side.direction == "lr"), None)
+
+        if _normal_form(model, s0, lr_draw) != _normal_form(model, t0, lr_draw):
+            return None
     # both sides draw with the same pools, from one memo
     expand = search_expander(theory, limits, [s, t], [s0, t0, *seed_terms],
                              max(s0.size, t0.size) + limits.max_term_growth, value_pool,
@@ -808,6 +897,23 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
     if len(trace) > limits.bound:
         return None
     return trace
+
+
+def _normal_form(model: UnderlyingModel, u: Term, lr_draw: Callable[[Term], Optional[Draw]]
+                 ) -> Term:
+    """The normal form of the calc-normal u under rule and calc steps, innermost,
+    where lr_draw(redex) is the rule step at a term-rooted redex, if any, of a
+    theory whose rules are orthogonal and terminating (CETheory._rules)."""
+    if isinstance(u, Variable):
+        return u
+    args = tuple(_normal_form(model, a, lr_draw) for a in u.args)
+    if args != u.args:
+        u = trusted_app(u.fun, args)
+    if u.fun.kind == THEORY:
+        return model.interpret_term(u) if model.is_calc_redex(u) else u
+    d = lr_draw(u)
+    # the destination holds no term symbol: its variables hold normal forms
+    return u if d is None else d.normal(model)[0]
 
 
 class _Node:

@@ -363,10 +363,33 @@ def _propositionally_valid(f, budget: OracleBudget) -> bool:
     keys = list(atoms)
     if len(keys) > budget.max_atoms:
         return False
+    bounds = [k for k in keys if k[0] in ("ge0", "eq0")]
+    if len(bounds) < 2:  # one atom alone contradicts no value of itself
+        bounds = []
     for bits in itertools.product((False, True), repeat=len(keys)):
-        if not _eval_formula(f, dict(zip(keys, bits))):
+        assign = dict(zip(keys, bits))
+        if not _eval_formula(f, assign) and not (bounds and _bounds_clash(bounds, assign)):
             return False
     return True
+
+
+def _bounds_clash(bounds: list, assign: dict) -> bool:
+    """Whether two of the ge0 and eq0 atoms cannot take their values in assign
+    together over the integers.  Atom p >= 0 set true is p >= 0, set false
+    -p - 1 >= 0; atom p = 0 set true is p >= 0 and -p >= 0.  No p >= 0 and
+    q >= 0 both hold where p + q is a negative constant."""
+    polys = []
+    for key in bounds:
+        p = dict(key[1])
+        if key[0] == "ge0":
+            polys.append(p if assign[key] else _padd(_pneg(p), _pconst(-1)))
+        elif assign[key]:
+            polys += [p, _pneg(p)]
+    for p, q in itertools.combinations(polys, 2):
+        total = _padd(p, q)
+        if total.keys() <= {()} and total.get((), 0) < 0:
+            return True
+    return False
 
 
 # -- equality propagation ---------------------------------------------------

@@ -117,19 +117,20 @@ class TermReader:
             raise ParseError("empty term", node.line, node.col)
         h = expect_atom(node.items[0], "a symbol name")
         args_nodes = node.items[1:]
+        pre = None
         if h.text == "=":
-            left = self._parse_first_determined(args_nodes, node)
-            sym = self._symbol("=", 2, sort_of(left[1]), node)
+            pre = self._parse_first_determined(args_nodes, node)
+            sym = self._symbol("=", 2, sort_of(pre[1]), node)
             if sym is None:
                 raise TheoryError("unknown-symbol",
                                   "cannot resolve '=' (no argument sort is known)",
                                   node.line, node.col)
-            return self._apply(sym, args_nodes, node, pre=left)
-        sym = self._symbol(h.text, len(args_nodes), None, node)
-        if sym is None:
-            raise TheoryError("unknown-symbol", f"unknown symbol {h.text}",
-                              node.line, node.col)
-        t = self._apply(sym, args_nodes, node)
+        else:
+            sym = self._symbol(h.text, len(args_nodes), None, node)
+            if sym is None:
+                raise TheoryError("unknown-symbol", f"unknown symbol {h.text}",
+                                  node.line, node.col)
+        t = self._apply(sym, args_nodes, node, pre=pre)
         self._check_expected(t, expected, node)
         return t
 

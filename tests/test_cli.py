@@ -467,6 +467,10 @@ MISTAKES = {
         "theory": "(eq (pi) (constraint true) (g 1) 1)",
         "proof": "(Refl (conclusion (g 1) 1 true))",
         "inline": ["-l", "g(1)", "-r", "1"]}),
+    "equality-as-an-argument-of-another-sort": ("ill-sorted-equation", {
+        "theory": "(eq (pi) (constraint true) (f (= 1 1)) (f 1))",
+        "proof": "(Refl (conclusion (f (= 1 1)) (f (= 1 1)) true))",
+        "inline": ["-l", "f(=(1, 1))", "-r", "f(1)"]}),
 }
 
 
@@ -487,6 +491,12 @@ def test_a_mistake_has_one_code_on_every_surface(capsys, tmp_path, mistake, surf
     code, doc = run_json(capsys, *argv)
     assert code == 3 and doc["verdict"] == "input-error"
     assert re.match(r"(?:\d+:\d+: )?([\w-]+): ", doc["detail"]).group(1) == code_of_mistake
+
+
+def test_an_equality_where_an_integer_is_expected_is_an_input_error(capsys):
+    code, doc = run_json(capsys, "convert", fx("mod12.th"), "-l", "cong(=(1,1))", "-r", "cong(1)")
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert "ill-sorted-equation" in doc["detail"] and "expected Int" in doc["detail"]
 
 
 # ROADMAP.md's reproducer of a known defect: prove_heuristic raises CEError from

@@ -75,10 +75,24 @@ def test_a_comparison_and_its_integer_negation_share_one_atom(phi):
     assert check_validity(LIA, phi).is_valid
 
 
-def test_two_comparisons_that_only_together_contradict_stay_unknown():
-    # x < y and x > y are two atoms; no backend sees that both cannot hold
-    phi = op("not", op("and", op("<", v("x"), v("y")), op(">", v("x"), v("y"))))
-    assert check_validity(LIA, phi).is_unknown
+def test_two_comparisons_that_only_together_contradict_are_valid():
+    # x < y and x > y are two atoms, y - x - 1 >= 0 and x - y - 1 >= 0, whose
+    # sum is the negative constant -2: no assignment makes both true
+    x, y = v("x"), v("y")
+    phi = op("not", op("and", op("<", x, y), op(">", x, y)))
+    assert check_validity(LIA, phi).is_valid
+    # bounds that leave room stay open to a counterexample
+    loose = op("not", op("and", op("<", x, y), op("<=", y, op("+", x, c(3)))))
+    assert check_validity(LIA, loose).is_invalid
+
+
+@pytest.mark.parametrize("strict", [">", "<"])
+def test_an_equality_and_a_strict_comparison_contradict(strict):
+    # x = y is x - y >= 0 and y - x >= 0, and one of them sums with the strict
+    # comparison to -1
+    x, y = v("x"), v("y")
+    assert check_validity(LIA, op("not", op("and", eq(x, y), op(strict, x, y)))).is_valid
+    assert check_validity(LIA, op("not", op("and", eq(x, y), op(">=", x, y)))).is_invalid
 
 
 def test_equality_propagation():
