@@ -191,7 +191,7 @@ def cmd_rewrite(args):
     t = parse_term(tf.theory, args.term)
     nf = tf.theory.model.calc_normalize(t)
     pool = _pool_from_args(tf, args)
-    if args.steps <= 1:
+    if args.steps == 1:
         cands = rule_step_candidates(tf.theory, nf, value_pool=pool)
         succ = []
         seen = set()

@@ -10,29 +10,31 @@ calculation steps are recovered only in traces (never enumerated during search).
 
 Every search takes its rule steps through one loop, `position_candidates`,
 and its edges through `macro_edges`: conversion search, `reachable_terms`
-and the consistency check in `algebra` set up with `search_expander`, whose
-draws are `rule_step_candidates`', and symbolic rewriting in `validity`
-plugs its own draws into the same loop.  `breadth_first` is the one loop
-over reachable sets.  An edge leaves a calc-normal term only: after a rule
-step at position p, only the new subterm and the ancestors of p can hold a
-calculation redex, so only they are normalized.  Rule-step candidates are
-lazy, and a candidate whose result is calc-normal has a size known before
-anything is built, so the size cap drops it before it costs a term.  An
-edge's trace steps are built only when read (`RuleCandidate.steps`): a
-search builds them only along the path it returns.
+and the consistency check in `algebra` set up an `Expander`, whose draws are
+`rule_step_candidates`', and symbolic rewriting in `validity` plugs its own
+draws into the same loop.  `breadth_first` is the one loop over reachable
+sets.  An edge leaves a calc-normal term only: after a rule step at position
+p, only the new subterm and the ancestors of p can hold a calculation redex,
+so only they are normalized.  Rule-step candidates are lazy, and a
+candidate whose result is calc-normal has a size known before anything is
+built, so the size cap drops it before it costs a term.  An edge's trace
+steps are built only when read (`RuleCandidate.steps`): a search builds them
+only along the path it returns.
 
 The rule steps at a position depend only on the redex there and on the
 search's draw context: its value pool, solve box and cap per redex, and its
 term pool on the sorts that term variables of equation sides draw from.
-Most positions a search expands hold a redex it has met before, so rule
-steps are kept in a memo from redex to its `Draw`s: a redex is matched and
-instantiated once per memo, and every candidate where it recurs shares its
-draws' instantiated side, that side's calc normal form and its size.  Per
-edge only the rebuilt spine is left.  A search owns one memo, made when it
-is set up and dropped when it ends, unless its caller hands it `draw_memos`,
-a dict from draw context to memo that the caller owns: then every search
-with the same draw context shares one memo (`validity.check_ce_validity`
-passes one to all the searches of its samples and drops it on return).
+A search sets up its `Expander` once, and the expander holds the draw
+context, whether the term pool is calc-normal, and a memo from redex to its
+`Draw`s.  Most positions a search expands hold a redex it has met before:
+a redex is matched and instantiated once per memo, and every candidate
+where it recurs shares its draws' instantiated side, that side's calc
+normal form and its size.  Per edge only the rebuilt spine is left.  A
+search owns one memo, made when it is set up and dropped when it ends,
+unless its caller hands it `draw_memos`, a dict from draw context to memo
+that the caller owns: then every search with the same draw context shares
+one memo (`validity.check_ce_validity` passes one to all the searches of
+its samples and drops it on return).
 
 Draws die with their search, but its outcome does not: the theory keeps
 conversion_search's trace, or None, in its memo of outcomes
@@ -42,9 +44,9 @@ and a repeated search returns it without searching.
 When the theory's rules are orthogonal and terminating (`CETheory._rules`,
 analysed on the first search), two terms convert exactly when their normal
 forms are equal.  A search then first normalizes both endpoints, innermost,
-reading each redex's rule step from its memo of draws, and returns None
-before any expansion when the normal forms differ: the search itself would
-find no trace either.
+reading each redex's rule step from its expander's memo of draws
+(`Expander.normal_form`), and returns None before any expansion when the
+normal forms differ: the search itself would find no trace either.
 
 Conversion search is bidirectional best-first with one frontier, a heap of
 (steps + size, side, steps, term_key, node): terms are expanded in the order
@@ -211,9 +213,9 @@ class CETheory:
     A bounded search's outcome depends only on the theory and the search's
     inputs, so `outcomes` keeps it for as long as the theory lives:
     conversion_search's trace or None, keyed by everything the search reads
-    (its endpoints, limits, value pool, seed terms and calc_only), and None
-    for a validity.proof_search that ended without a verdict, keyed by goal
-    and budgets.  It keeps only these immutable outcomes, never search state.
+    (its endpoints, limits and value pool), and None for a
+    validity.proof_search that ended without a verdict, keyed by goal and
+    budgets.  It keeps only these immutable outcomes, never search state.
     """
 
     signature: Signature
@@ -616,13 +618,6 @@ class SearchLimits:
     cap_per_redex: int = 64
 
 
-def calc_normal_pool(model: UnderlyingModel, term_pool: dict[Sort, tuple[Term, ...]]) -> bool:
-    """Whether every term of the pool is calc-normal; `macro_edges` needs to
-    know, and it holds unless a seed term is not calc-normal."""
-    return not any(model.is_calc_redex(u) for terms in term_pool.values()
-                   for t in terms for u in subterms_of(t))
-
-
 def _normalize_spine(model: UnderlyingModel, u: Term, cand: RuleCandidate
                      ) -> tuple[Position, Term, Term, list[tuple[Position, Term, Term]]]:
     """calc_normalize_steps of the calc-normal u with cand's replacement put
@@ -712,58 +707,71 @@ def key_around(key: str, t: Term, q: Position) -> tuple[str, str]:
 DrawMemos = dict[tuple, dict[Term, tuple[Draw, ...]]]
 
 
-def _draw_context(theory: CETheory, limits: SearchLimits, goal_terms: Iterable[Term],
-                  pool_terms: Iterable[Term], value_pool: Optional[dict[Sort, tuple]],
-                  draw_memos: Optional[DrawMemos]
-                  ) -> tuple[dict[Sort, tuple], dict[Sort, tuple[Term, ...]], Optional[int],
-                             dict[Term, tuple[Draw, ...]]]:
-    """search_expander's value pool, term pool, solve box and memo of draws."""
-    solve_box = limits.solve_box
-    if value_pool is None:
-        value_pool = default_value_pool(theory, goal_terms)
-    else:
-        solve_box = None
-    term_pool = term_candidate_pool(pool_terms)
-    if draw_memos is None:
-        return value_pool, term_pool, solve_box, {}
-    # everything _draws_at reads but the redex
-    context = (solve_box, limits.cap_per_redex, tuple(value_pool.items()),
-               tuple(term_pool.get(s, ()) for s in theory.term_extra_sorts))
-    return value_pool, term_pool, solve_box, draw_memos.setdefault(context, {})
+class Expander:
+    """One search's set-up, made once: its draw context and its size cap.
+    Calling it on a calc-normal u gives the macro edges (see macro_edges) of
+    u within size_cap, in candidate order, through one rule_step_candidates.
 
-
-def search_expander(
-    theory: CETheory,
-    limits: SearchLimits,
-    goal_terms: Iterable[Term],
-    pool_terms: Iterable[Term],
-    size_cap: Optional[int],
-    value_pool: Optional[dict[Sort, tuple]] = None,
-    draw_memos: Optional[DrawMemos] = None,
-) -> Callable[[Term], Iterator[Edge]]:
-    """Set up one search and return its expander: u -> the macro edges (see
-    macro_edges) of the calc-normal u within size_cap, in candidate order.
-
-    The value pool is value_pool, or else default_value_pool(theory,
-    goal_terms) widened by constraint solutions over limits.solve_box: an
-    explicit value pool draws from the pool alone.  The term pool is
-    term_candidate_pool(pool_terms).  Every expansion is one call of
-    rule_step_candidates, and all of them share one memo of draws by redex.
-    With draw_memos None the memo is the search's own and lives as long as
-    the expander; otherwise it is draw_memos' memo for this search's draw
-    context, shared with every other search given the same dict and context.
+    The draw context is everything _draws_at reads but the redex: the value
+    pool (value_pool, or else default_value_pool(theory, goal_terms) widened
+    by constraint solutions over limits.solve_box: an explicit value pool
+    draws from the pool alone), the term pool (term_candidate_pool(
+    pool_terms)) and limits.cap_per_redex.  pool_normal says whether every
+    term of the term pool is calc-normal, which macro_edges needs to know.
+    Every draw goes into one memo by redex, `draws`.  With draw_memos None
+    the memo is the expander's own; otherwise it is draw_memos' memo for
+    this draw context, shared with every other search given the same dict
+    and context.
     """
-    model = theory.model
-    value_pool, term_pool, solve_box, draws = _draw_context(
-        theory, limits, goal_terms, pool_terms, value_pool, draw_memos)
-    pool_normal = calc_normal_pool(model, term_pool)
 
-    def expand(u: Term) -> Iterator[Edge]:
-        cands = rule_step_candidates(theory, u, value_pool, term_pool, solve_box,
-                                     limits.cap_per_redex, draws=draws)
-        return macro_edges(model, u, cands, size_cap, pool_normal)
+    __slots__ = ("theory", "value_pool", "solve_box", "term_pool", "pool_normal", "cap",
+                 "draws", "size_cap")
 
-    return expand
+    def __init__(self, theory: CETheory, limits: SearchLimits, goal_terms: Iterable[Term],
+                 pool_terms: Iterable[Term], size_cap: Optional[int],
+                 value_pool: Optional[dict[Sort, tuple]] = None,
+                 draw_memos: Optional[DrawMemos] = None) -> None:
+        self.theory, self.size_cap, self.cap = theory, size_cap, limits.cap_per_redex
+        if value_pool is None:
+            self.value_pool = default_value_pool(theory, goal_terms)
+            self.solve_box = limits.solve_box
+        else:
+            self.value_pool, self.solve_box = value_pool, None
+        self.term_pool = pool = term_candidate_pool(pool_terms)
+        self.pool_normal = not any(theory.model.is_calc_redex(u) for terms in pool.values()
+                                   for t in terms for u in subterms_of(t))
+        self.draws: dict[Term, tuple[Draw, ...]] = {} if draw_memos is None else \
+            draw_memos.setdefault((self.solve_box, self.cap, tuple(self.value_pool.items()),
+                                   tuple(pool.get(s, ()) for s in theory.term_extra_sorts)), {})
+
+    def __call__(self, u: Term) -> Iterator[Edge]:
+        cands = rule_step_candidates(self.theory, u, self.value_pool, self.term_pool,
+                                     self.solve_box, self.cap, draws=self.draws)
+        return macro_edges(self.theory.model, u, cands, self.size_cap, self.pool_normal)
+
+    def normal_form(self, u: Term) -> Term:
+        """The normal form of the calc-normal u under rule and calc steps,
+        innermost, on a theory whose rules are orthogonal and terminating
+        (CETheory._rules): a term-rooted redex takes its first left-to-right
+        draw, if any, from the memo."""
+        if isinstance(u, Variable):
+            return u
+        model = self.theory.model
+        args = tuple(map(self.normal_form, u.args))
+        if args != u.args:
+            u = trusted_app(u.fun, args)
+        if u.fun.kind == THEORY:
+            return model.interpret_term(u) if model.is_calc_redex(u) else u
+        found = self.draws.get(u)
+        if found is None:
+            found = self.draws[u] = _draws_at(self.theory, u, self.value_pool, self.term_pool,
+                                              self.solve_box, self.cap)
+        d = next((d for d in found if d.side.direction == "lr"), None)
+        # the destination holds no term symbol: its variables hold normal forms
+        return u if d is None else d.normal(model)[0]
+
+
+search_expander = Expander  # the name every search sets up through, and tests wrap
 
 
 def conversion_search(
@@ -772,8 +780,6 @@ def conversion_search(
     t: Term,
     limits: SearchLimits | None = None,
     value_pool: Optional[dict[Sort, tuple]] = None,
-    seed_terms: Iterable[Term] = (),
-    calc_only: bool = False,
     draw_memos: Optional[DrawMemos] = None,
 ) -> Optional[ConversionTrace]:
     """Search for a conversion trace of length <= limits.bound, or None.
@@ -791,21 +797,18 @@ def conversion_search(
     The outcome is kept in theory.outcomes, and a later call with the same
     arguments, draw_memos aside, returns it without searching.  draw_memos,
     if given, is the caller's dict of memos of draws by draw context (see
-    search_expander); None draws with a memo of this search.  Neither the
+    Expander); None draws with a memo of this search.  Neither the
     trace nor the verdict depends on it.
     """
     if sort_of(s) != sort_of(t):
         raise CEError("conversion endpoints must have the same sort")
     limits = limits or SearchLimits()
-    seed_terms = tuple(seed_terms)
     # limits' field values, read directly: dataclasses.astuple would copy them
     key = (s, t, tuple(vars(limits).values()),
-           None if value_pool is None else tuple((k, tuple(v)) for k, v in value_pool.items()),
-           seed_terms, calc_only)
+           None if value_pool is None else tuple((k, tuple(v)) for k, v in value_pool.items()))
     trace = theory.outcomes.get(key, _UNSEEN)
     if trace is _UNSEEN:
-        trace = theory.outcomes[key] = _search(theory, s, t, limits, value_pool, seed_terms,
-                                               calc_only, draw_memos)
+        trace = theory.outcomes[key] = _search(theory, s, t, limits, value_pool, draw_memos)
     return trace
 
 
@@ -813,8 +816,8 @@ _UNSEEN = object()  # no outcome kept for the key
 
 
 def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
-            value_pool: Optional[dict[Sort, tuple]], seed_terms: tuple[Term, ...],
-            calc_only: bool, draw_memos: Optional[DrawMemos]) -> Optional[ConversionTrace]:
+            value_pool: Optional[dict[Sort, tuple]], draw_memos: Optional[DrawMemos]
+            ) -> Optional[ConversionTrace]:
     """conversion_search's search, run on a miss of the theory's memo."""
     model = theory.model
     s0, prefix = calc_trace(model, s)
@@ -825,28 +828,15 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
         return None
     if s0 == t0:
         return tuple(prefix + suffix)
-    if calc_only:  # no rule step: the calc normal forms differ
-        return None
     budget = limits.bound - fixed
-    if theory._rules is not None:
-        # every edge is a rule step, forward or backward, and calc steps: a trace
-        # joins only terms with one normal form
-        draw_memos = {} if draw_memos is None else draw_memos
-        *pools, draws = _draw_context(theory, limits, [s, t], [s0, t0, *seed_terms],
-                                      value_pool, draw_memos)
-
-        def lr_draw(u: Term) -> Optional[Draw]:
-            found = draws.get(u)
-            if found is None:
-                found = draws[u] = _draws_at(theory, u, *pools, limits.cap_per_redex)
-            return next((d for d in found if d.side.direction == "lr"), None)
-
-        if _normal_form(model, s0, lr_draw) != _normal_form(model, t0, lr_draw):
-            return None
     # both sides draw with the same pools, from one memo
-    expand = search_expander(theory, limits, [s, t], [s0, t0, *seed_terms],
+    expand = search_expander(theory, limits, [s, t], [s0, t0],
                              max(s0.size, t0.size) + limits.max_term_growth, value_pool,
                              draw_memos)
+    # every edge of orthogonal, terminating rules is a rule step, forward or
+    # backward, and calc steps: a trace joins only terms with one normal form
+    if theory._rules is not None and expand.normal_form(s0) != expand.normal_form(t0):
+        return None
 
     # dist[side][term_key] = the node of that term, side 0 from s0 and 1 from t0
     roots = (_Node(0, None, None, (s0, (), s0)), _Node(0, None, None, (t0, (), t0)))
@@ -897,23 +887,6 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
     if len(trace) > limits.bound:
         return None
     return trace
-
-
-def _normal_form(model: UnderlyingModel, u: Term, lr_draw: Callable[[Term], Optional[Draw]]
-                 ) -> Term:
-    """The normal form of the calc-normal u under rule and calc steps, innermost,
-    where lr_draw(redex) is the rule step at a term-rooted redex, if any, of a
-    theory whose rules are orthogonal and terminating (CETheory._rules)."""
-    if isinstance(u, Variable):
-        return u
-    args = tuple(_normal_form(model, a, lr_draw) for a in u.args)
-    if args != u.args:
-        u = trusted_app(u.fun, args)
-    if u.fun.kind == THEORY:
-        return model.interpret_term(u) if model.is_calc_redex(u) else u
-    d = lr_draw(u)
-    # the destination holds no term symbol: its variables hold normal forms
-    return u if d is None else d.normal(model)[0]
 
 
 class _Node:

@@ -559,3 +559,13 @@ def test_an_algebra_int_element_that_is_no_integer_literal_is_an_input_error(
 def test_a_named_file_that_cannot_be_opened_is_an_input_error(capsys, tmp_path, argv):
     code, doc = run_json(capsys, *[str(tmp_path) if a == "{dir}" else a for a in argv])
     assert code == 3 and doc["verdict"] == "input-error"
+
+
+def test_rewrite_zero_steps_has_no_successors(capsys):
+    argv = ["rewrite", fx("mod12.th"), "-t", "cong(+(7,31))", "--steps", "0"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["calc normal form: (cong 38)",
+                                "successors within 0 step(s):", "  (none)"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["normal_form"] == "(cong 38)" and doc["successors"] == []

@@ -21,7 +21,6 @@ from lcer.equations import (
     SearchLimits,
     TraceStep,
     built,
-    calc_normal_pool,
     calc_trace,
     conversion_search,
     default_value_pool,
@@ -325,10 +324,10 @@ def test_non_calc_normal_seed_in_the_term_pool(group):
     u = parse_term(theory, "e")
     seed = parse_term(theory, "exp(y, +(1, 1))", {"y": G})
     term_pool = term_candidate_pool([u], [seed])
-    assert not calc_normal_pool(theory.model, term_pool)
-    assert calc_normal_pool(theory.model, term_candidate_pool([u]))
     value_pool = default_value_pool(theory, [u])
     limits = SearchLimits()
+    assert not search_expander(theory, limits, [u], [u, seed], None).pool_normal
+    assert search_expander(theory, limits, [u], [u], None).pool_normal
     for cap in (None, 7, 8, 9):
         got = expand(theory, u, [u], [u, seed], limits, cap)
         assert got == reference_successors(theory, u, value_pool, term_pool, limits, cap)
