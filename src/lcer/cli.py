@@ -27,6 +27,7 @@ from .equations import (
     reachable_terms,
     replay_trace,
     rule_step_candidates,
+    search_stop,
 )
 from .models import UnderlyingModel
 from .oracle import OracleBudget, OracleFailure
@@ -221,12 +222,21 @@ def cmd_convert(args):
         lines = ["convert works on closed goals; use validate for constrained ones"]
         return EXIT_INPUT, {"verdict": "input-error", "detail": lines[0]}, lines
     limits = _limits(args)
-    trace = conversion_search(tf.theory, goal.lhs, goal.rhs, limits,
-                              value_pool=_pool_from_args(tf, args))
+    pool = _pool_from_args(tf, args)
+    trace = conversion_search(tf.theory, goal.lhs, goal.rhs, limits, value_pool=pool)
     if trace is None:
-        lines = [f"no conversion within bound {limits.bound}"]
-        return EXIT_UNKNOWN, {"verdict": "no-conversion-within-bound",
-                              "bound": limits.bound}, lines
+        report = {"verdict": "no-conversion-within-bound", "bound": limits.bound}
+        stop = search_stop(tf.theory, goal.lhs, goal.rhs, limits, pool)
+        if stop == "normal-forms":
+            report["normal_forms_differ"] = True
+            lines = ["not convertible (normal forms differ)"]
+        elif stop == "max_nodes":
+            report["budget"] = stop
+            lines = [f"no conversion found: search budget max_nodes ({limits.max_nodes}) "
+                     f"ran out before bound {limits.bound}"]
+        else:
+            lines = [f"no conversion within bound {limits.bound}"]
+        return EXIT_UNKNOWN, report, lines
     end = replay_trace(tf.theory, goal.lhs, trace)
     assert end == goal.rhs
     lines = [f"conversion found: {len(trace)} steps"] + _trace_lines(trace)
@@ -259,6 +269,10 @@ def cmd_validate(args):
         which = report["sample"] or "identity"
         lines.append(f"  instance without conversion in bound: {which}")
         return EXIT_NO, report, lines
+    if status.budget:
+        report["budget"] = status.budget
+        report["sample"] = _subst_json(status.failing_sample or {})
+        lines.append(f"  instance: {report['sample'] or 'identity'}")
     lines.append(f"  {status.detail}")
     return EXIT_UNKNOWN, report, lines
 

@@ -29,7 +29,8 @@ context, whether the term pool is calc-normal, and a memo from redex to its
 `Draw`s.  Most positions a search expands hold a redex it has met before:
 a redex is matched and instantiated once per memo, and every candidate
 where it recurs shares its draws' instantiated side, that side's calc
-normal form and its size.  Per edge only the rebuilt spine is left.  A
+normal form and its size, and what `macro_edges` caches of each draw at
+its redex.  Per edge only the rebuilt spine is left.  A
 search owns one memo, made when it is set up and dropped when it ends,
 unless its caller hands it `draw_memos`, a dict from draw context to memo
 that the caller owns: then every search with the same draw context shares
@@ -215,7 +216,9 @@ class CETheory:
     conversion_search's trace or None, keyed by everything the search reads
     (its endpoints, limits and value pool), and None for a
     validity.proof_search that ended without a verdict, keyed by goal and
-    budgets.  It keeps only these immutable outcomes, never search state.
+    budgets.  It keeps only these immutable outcomes, never search state;
+    `stops` keeps why a conversion_search outcome is None, where its bound
+    is not the reason (see search_stop).
     """
 
     signature: Signature
@@ -224,6 +227,7 @@ class CETheory:
 
     def __post_init__(self) -> None:
         self.outcomes: dict[tuple, Optional[ConversionTrace]] = {}
+        self.stops: dict[tuple, str] = {}
         # by equation index, then direction
         self._sides = tuple(_Side.of(i, direction, eq, self.model)
                             for i, eq in enumerate(self.equations) for direction in ("lr", "rl"))
@@ -418,9 +422,19 @@ class Draw:
     is the size of `replacement`, known without building it.  A memo keeps
     every draw made into it until its owner drops it, so a draw holds its
     bindings as a tuple, not a dict.
+
+    macro_edges caches what it reads of every candidate of a draw, as it
+    depends on the draw and its redex alone: `plain`, whether the side is
+    plain and `replacement` no value, so that an edge of the draw needs no
+    calculation when its bindings are calc-normal, with `delta`, the size
+    of `replacement` less the redex's, both set by the draw's first
+    candidate; and `back`, whether `replacement` is the redex itself, set
+    by the first candidate within a size cap.  `plain` and `delta` read the
+    bindings without building `replacement`, so a draw that the size cap
+    drops wherever it is read never builds it.  Each is None until set.
     """
 
-    __slots__ = ("side", "values", "size", "_replacement", "_normal")
+    __slots__ = ("side", "values", "size", "_replacement", "_normal", "plain", "delta", "back")
 
     def __init__(self, side: _Side, values: tuple[Term, ...]) -> None:
         self.side = side
@@ -431,6 +445,9 @@ class Draw:
         self.size = size
         self._replacement: Optional[Term] = None
         self._normal: Optional[tuple[Term, list[tuple[Position, Term, Term]]]] = None
+        self.plain: Optional[bool] = None  # set by macro_edges, with delta
+        self.delta: Optional[int] = None
+        self.back: Optional[bool] = None
 
     @property
     def sigma(self) -> dict[Variable, Term]:
@@ -611,6 +628,13 @@ def rule_step_candidates(
 
 @dataclass
 class SearchLimits:
+    """A conversion search's bounds.  bound caps a trace's steps and
+    max_term_growth the size of a term it passes through, over the larger
+    endpoint's.  max_nodes caps the nodes the search pushes onto its
+    frontier, the endpoints included, counted before each expansion, so
+    that expansions with many edges cannot outgrow memory.  A search that
+    max_nodes stops finds nothing, and search_stop says so."""
+
     bound: int = 8
     max_term_growth: int = 7
     max_nodes: int = 200_000
@@ -674,22 +698,35 @@ def macro_edges(
     u must be calc-normal, and so must every binding of a candidate that
     does not come from term variables; pool_normal says whether those do.
     When the instantiated side of a candidate is calc-normal and not a value
-    (its side is plain and every binding is calc-normal), so is the target,
-    and an over-cap candidate is dropped before anything is built.
-    Otherwise only the rewritten spine is normalized (see _normalize_spine).
+    (its draw is `plain` and, unless pool_normal, draws no term variables),
+    so is the target: the draw's `delta` decides the size cap before
+    anything is built, and its `back` whether the edge returns to u.  These
+    are cached on the draw (see Draw).  pool_normal is read per call, never
+    kept in a draw: expanders with different term pools may share one memo
+    of draws.  Otherwise only the rewritten spine is normalized (see
+    _normalize_spine).
     """
     u_size = u.size
     for cand in cands:
         draw = cand.draw
         side = draw.side
-        if (side.plain and (pool_normal or not side.term_extras)
-                and not (isinstance(side.dst, Variable)
-                         and model.is_value_term(draw.replacement))):
-            if size_cap is not None and u_size - cand.redex.size + draw.size > size_cap:
+        plain = draw.plain
+        if plain is None:  # a bare variable destination is the value it is bound to
+            plain = draw.plain = side.plain and not (
+                isinstance(side.dst, Variable)
+                and model.is_value_term(draw.values[side.occurrences[0][0]]))
+            draw.delta = draw.size - cand.redex.size
+        if plain and (pool_normal or not side.term_extras):
+            size = u_size + draw.delta
+            if size_cap is not None and size > size_cap:
                 continue  # dropped before anything is built
-            q, sub, w = cand.position, cand.redex, draw.replacement
-        else:
-            q, sub, w, cand.calc = _normalize_spine(model, u, cand)
+            back = draw.back
+            if back is None:  # builds the replacement, which _replacement then holds
+                back = draw.back = draw.replacement == cand.redex
+            if not back:
+                yield (u, cand.position, draw._replacement), size, 1, cand
+            continue
+        q, sub, w, cand.calc = _normalize_spine(model, u, cand)
         size = u_size - sub.size + w.size
         if (size_cap is None or size <= size_cap) and w is not sub and w != sub:
             yield (u, q, w), size, 1 + len(cand.calc), cand
@@ -792,7 +829,9 @@ def conversion_search(
     the first expansion that meets within the bound, which need not be the
     shortest trace.  On a theory whose rules are orthogonal and terminating
     (CETheory._rules), endpoints whose normal forms differ return None
-    before any expansion, as the search would.
+    before any expansion, as the search would.  A search that
+    limits.max_nodes stops returns None too; search_stop tells these cases
+    apart.
 
     The outcome is kept in theory.outcomes, and a later call with the same
     arguments, draw_memos aside, returns it without searching.  draw_memos,
@@ -803,22 +842,42 @@ def conversion_search(
     if sort_of(s) != sort_of(t):
         raise CEError("conversion endpoints must have the same sort")
     limits = limits or SearchLimits()
-    # limits' field values, read directly: dataclasses.astuple would copy them
-    key = (s, t, tuple(vars(limits).values()),
-           None if value_pool is None else tuple((k, tuple(v)) for k, v in value_pool.items()))
+    key = _outcome_key(s, t, limits, value_pool)
     trace = theory.outcomes.get(key, _UNSEEN)
     if trace is _UNSEEN:
-        trace = theory.outcomes[key] = _search(theory, s, t, limits, value_pool, draw_memos)
+        trace = _search(theory, s, t, limits, value_pool, draw_memos)
+        if isinstance(trace, str):
+            theory.stops[key], trace = trace, None
+        theory.outcomes[key] = trace
     return trace
 
 
 _UNSEEN = object()  # no outcome kept for the key
 
 
+def _outcome_key(s: Term, t: Term, limits: SearchLimits,
+                 value_pool: Optional[dict[Sort, tuple]]) -> tuple:
+    # limits' field values, read directly: dataclasses.astuple would copy them
+    return (s, t, tuple(vars(limits).values()),
+            None if value_pool is None else tuple((k, tuple(v)) for k, v in value_pool.items()))
+
+
+def search_stop(theory: CETheory, s: Term, t: Term, limits: SearchLimits | None = None,
+                value_pool: Optional[dict[Sort, tuple]] = None) -> Optional[str]:
+    """Why conversion_search with these arguments, run before, found no
+    trace, where its bound is not the reason: "max_nodes" when that budget
+    of limits ran out, and "normal-forms" when the theory is orthogonal and
+    terminating and the endpoints' normal forms differ, so that no trace
+    exists at any bound.  None otherwise, also for a search not run yet.
+    It reads the theory's memo of outcomes, without searching."""
+    return theory.stops.get(_outcome_key(s, t, limits or SearchLimits(), value_pool))
+
+
 def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
             value_pool: Optional[dict[Sort, tuple]], draw_memos: Optional[DrawMemos]
-            ) -> Optional[ConversionTrace]:
-    """conversion_search's search, run on a miss of the theory's memo."""
+            ) -> Optional[ConversionTrace] | str:
+    """conversion_search's search, run on a miss of the theory's memo: the
+    trace, None, or what stopped it (see search_stop)."""
     model = theory.model
     s0, prefix = calc_trace(model, s)
     t0, post = calc_trace(model, t)
@@ -836,7 +895,7 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
     # every edge of orthogonal, terminating rules is a rule step, forward or
     # backward, and calc steps: a trace joins only terms with one normal form
     if theory._rules is not None and expand.normal_form(s0) != expand.normal_form(t0):
-        return None
+        return "normal-forms"
 
     # dist[side][term_key] = the node of that term, side 0 from s0 and 1 from t0
     roots = (_Node(0, None, None, (s0, (), s0)), _Node(0, None, None, (t0, (), t0)))
@@ -844,15 +903,15 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
     frontier = [(s0.size, 0, 0, term_key(s0), roots[0]), (t0.size, 1, 0, term_key(t0), roots[1])]
     heapq.heapify(frontier)
     best: Optional[tuple[int, int, str, _Node, _Node]] = None
-    expanded = 0
+    popped = 0
     while best is None and frontier:
+        if popped + len(frontier) > limits.max_nodes:  # every node pushed so far
+            return "max_nodes"
         _, side, cost, _, node = heapq.heappop(frontier)
+        popped += 1
         if node.done:
             continue
         node.done = True
-        expanded += 1
-        if expanded > limits.max_nodes:
-            break
         if cost >= budget:
             continue
         u = built(node.splice)

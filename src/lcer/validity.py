@@ -64,6 +64,7 @@ from .equations import (
     default_value_pool,
     macro_edges,
     position_candidates,
+    search_stop,
 )
 from .models import enumerate_satisfying
 from .oracle import OracleBudget, Verdict, check_validity, valid, unknown
@@ -206,6 +207,7 @@ class ValidityStatus:
     samples: int = 0
     failing_sample: Optional[dict[Variable, Term]] = None
     detail: str = ""
+    budget: Optional[str] = None  # the search budget that ran out on failing_sample
 
     @property
     def is_proof(self) -> bool:
@@ -324,12 +326,16 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
                                                        box=budgets.box), budgets.max_samples):
         count += 1
         if closed:
-            trace = None
+            lhs, rhs, trace = ce.lhs, ce.rhs, None
         else:
-            trace = conversion_search(theory, apply_subst(sigma, ce.lhs),
-                                      apply_subst(sigma, ce.rhs), limits,
-                                      draw_memos=draw_memos)
+            lhs, rhs = apply_subst(sigma, ce.lhs), apply_subst(sigma, ce.rhs)
+            trace = conversion_search(theory, lhs, rhs, limits, draw_memos=draw_memos)
         if trace is None:
+            if search_stop(theory, lhs, rhs, limits) == "max_nodes":
+                return ValidityStatus(
+                    "unknown", failing_sample=sigma, budget="max_nodes",
+                    detail=f"search budget max_nodes ({limits.max_nodes}) ran out on "
+                           f"an instance before bound {limits.bound}; no answer")
             return ValidityStatus("no-conversion-within-bound",
                                   failing_sample=sigma,
                                   detail="bounded search found no conversion for this "

@@ -45,18 +45,20 @@ from lcer.terms import (
     replace_at,
     sort_of,
     subterm_at,
+    subterms_of,
     vars_of,
 )
 
 from tests.conftest import load_theory
 
 
-def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
+def reference_edges(theory, u, cands, size_cap):
+    """Per candidate, in order: (cand, target, trace steps), each built in
+    full from the equation and normalized whole with calc_trace, without
+    the targets equal to u or larger than size_cap."""
     model = theory.model
     edges = []
-    for cand in rule_step_candidates(
-            theory, u, value_pool=value_pool, term_pool=term_pool,
-            solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex):
+    for cand in cands:
         eq = theory.equations[cand.eq_index]
         dst = eq.rhs if cand.direction == "lr" else eq.lhs
         replacement = apply_subst(dict(cand.subst), dst)
@@ -66,7 +68,15 @@ def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
         v, calc_steps = calc_trace(model, raw)
         if v == u or (size_cap is not None and v.size > size_cap):
             continue
-        edges.append((v, (step, *calc_steps)))
+        edges.append((cand, v, (step, *calc_steps)))
+    return edges
+
+
+def reference_successors(theory, u, value_pool, term_pool, limits, size_cap):
+    cands = rule_step_candidates(
+        theory, u, value_pool=value_pool, term_pool=term_pool,
+        solve_box=limits.solve_box, cap_per_redex=limits.cap_per_redex)
+    edges = [(v, steps) for _, v, steps in reference_edges(theory, u, cands, size_cap)]
     edges.sort(key=lambda e: (len(e[1]), e[0].size, term_key(e[0])))
     return edges
 
@@ -434,3 +444,151 @@ def test_search_builds_rule_steps_only_for_its_trace(monkeypatch):
     assert rules
     assert len(built) == len(rules)
     assert len(candidates) > 1000 * len(rules)
+
+
+# -- the edge data each draw caches (Draw.plain, Draw.back) ---------------------
+
+def pool_is_normal(model, term_pool):
+    return not any(model.is_calc_redex(v) for terms in term_pool.values()
+                   for t in terms for v in subterms_of(t))
+
+
+def checked_edges(theory, u, cands, size_cap, pool_normal):
+    """macro_edges of u against reference_edges, candidate by candidate, with
+    each target built and its size, step count and spliced key checked."""
+    got = []
+    for splice, size, n, edge in macro_edges(theory.model, u, cands, size_cap, pool_normal):
+        v = built(splice)
+        steps = edge.steps()
+        assert (size, n, spliced_key(splice)) == (v.size, len(steps), term_key(v)), (u, v)
+        got.append((edge, v, steps))
+    want = reference_edges(theory, u, cands, size_cap)
+    assert [(id(c), v, steps) for c, v, steps in got] == \
+        [(id(c), v, steps) for c, v, steps in want], (u, size_cap)
+    return got
+
+
+# per theory, a term-pool seed with a calculation redex: in group.th the step
+# e -> op(inv(t), t) and in refute_bool.th true -> g(t) draw t from the pool
+# (the cached data must not say "no calculation" for them then); elsewhere
+# the redex is of a sort no step draws from
+SEEDED = {"group.th": ("exp(y, +(1, 1))", {"y": "G"}),
+          "refute_bool.th": ("and(true, false)", {})}
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("group.th", 11), ("lists.th", 12), ("mod12.th", 13), ("absmax.th", 14),
+    ("absmax.th", 15), ("refute_bool.th", 16)])
+def test_macro_edges_match_a_per_candidate_reference(name, seed):
+    # one memo of draws serves every term, cap and pool of the test, and the
+    # tightest cap comes first: a draw is classified where the cap drops it,
+    # and its cached data is then read under looser caps and other pools
+    theory = load_theory(name).theory
+    model = theory.model
+    rng = random.Random(seed)
+    variables = variables_for(theory)
+    text, env = SEEDED.get(name, ("+(1, 1)", {}))
+    seeds = [parse_term(theory, text, {x: theory.signature.sort(s) for x, s in env.items()})]
+    limits = SearchLimits(solve_box=4, cap_per_redex=6)
+    memos = {}
+    seen = {"dropped unbuilt": 0, "back": 0, "value": 0, "pool calc": 0, "edges": 0}
+    checked = 0
+    while checked < 40:
+        u = random_redex_term(theory, rng, variables)
+        if u.size > 12:
+            continue
+        checked += 1
+        value_pool = default_value_pool(theory, [u])
+        for pool_seeds in ([], seeds):
+            term_pool = term_candidate_pool([u], pool_seeds)
+            pool_normal = pool_is_normal(model, term_pool)
+            assert pool_normal == (not pool_seeds)
+            draws = memos.setdefault(tuple(term_pool.get(s, ()) for s in theory.term_extra_sorts), {})
+            cands = rule_step_candidates(theory, u, value_pool, term_pool, limits.solve_box,
+                                         limits.cap_per_redex, draws=draws)
+            sizes = sorted({v.size for _, v, _ in reference_edges(theory, u, cands, None)})
+            for cap in [u.size - 2, u.size - 1, u.size, *sizes[:2], None]:
+                edges = checked_edges(theory, u, cands, cap, pool_normal)
+                yielded = {id(c) for c, _, _ in edges}
+                for c in cands:
+                    d = c.draw
+                    seen["dropped unbuilt"] += cap is not None and \
+                        u.size - c.redex.size + d.size > cap and d._replacement is None
+                    seen["back"] += d.back is True
+                    seen["value"] += d.side.plain and d.plain is False
+                    seen["pool calc"] += (d.plain and d.side.term_extras != () and not pool_normal
+                                          and len(c.calc) > 0 and id(c) in yielded)
+                seen["edges"] += len(edges)
+    # what the cached data stands for is reached: draws the cap drops unbuilt;
+    # on mod12.th, cong(x) -> cong(y) with y = x, which returns to the redex;
+    # on absmax.th, max(x, y) -> x and abs(x) -> x with x a value, whose
+    # target calculates further; a step that draws a term with a redex
+    assert seen["edges"] > 100 and seen["dropped unbuilt"] > 0
+    assert (seen["back"] > 0) == (name == "mod12.th")
+    assert (seen["value"] > 0) == (name == "absmax.th")
+    assert (seen["pool calc"] > 0) == (name in ("group.th", "refute_bool.th"))
+
+
+def test_no_draw_the_size_cap_drops_is_built(monkeypatch):
+    # expinv's search: a draw whose edges need no calculation and whose
+    # every candidate the size cap drops keeps its replacement unbuilt (a
+    # draw that needs calculation is built to learn its size)
+    group = load_theory("group.th")
+    theory, goal = group.theory, group.goals["expinv"]
+    seen = []  # (draw, dropped by the cap) for each candidate macro_edges reads
+    edges = equations.macro_edges
+
+    def recording(model, u, cands, size_cap, pool_normal):
+        assert pool_normal
+        cands = list(cands)
+        out = list(edges(model, u, cands, size_cap, pool_normal))
+        yielded = {id(e[3]) for e in out}
+        for c in cands:
+            d = c.draw
+            dropped = d.plain and u.size - c.redex.size + d.size > size_cap
+            assert not (dropped and id(c) in yielded)
+            seen.append((c.draw, dropped))
+        return iter(out)
+
+    monkeypatch.setattr(equations, "macro_edges", recording)
+    assert conversion_search(theory, goal.lhs, goal.rhs, SearchLimits(bound=12)) is not None
+    kept = {id(d) for d, dropped in seen if not dropped}
+    dropped = {id(d): d for d, dropped in seen if dropped and id(d) not in kept}
+    assert len(dropped) > 100
+    assert all(d._replacement is None for d in dropped.values())
+    assert any(d._replacement is not None for d, _ in seen)
+
+
+def test_expanders_sharing_a_memo_read_their_own_term_pool(monkeypatch):
+    # two expanders whose term pools agree on G, the sort that e -> op(inv(t),
+    # t) draws from, share one memo of draws; one pool also holds the Int
+    # redex +(1, 1), so that expander is told its pool is not calc-normal and
+    # normalizes the rule steps that draw from the pool, whichever expander
+    # classified the draw first
+    group = load_theory("group.th")
+    theory = group.theory
+    G = theory.signature.sort("G")
+    starts = [parse_term(theory, text, {"x": G}) for text in (
+        "op(e, x)", "op(inv(x), op(e, x))", "exp(op(x, e), 2)")]
+    redex = parse_term(theory, "+(1, 1)")
+    limits = SearchLimits(cap_per_redex=4)
+    spines = []
+    spine = equations._normalize_spine
+    monkeypatch.setattr(equations, "_normalize_spine",
+                        lambda *args: spines.append(args[2]) or spine(*args))
+    for order in ((0, 1), (1, 0)):
+        memos = {}
+        expanders = [search_expander(theory, limits, starts, starts, None, None, memos),
+                     search_expander(theory, limits, starts, [*starts, redex], None, None, memos)]
+        assert expanders[0].draws is expanders[1].draws and len(memos) == 1
+        assert [x.pool_normal for x in expanders] == [True, False]
+        slow = [0, 0]
+        for u in starts:
+            for i in order:
+                spines.clear()
+                got = expand(theory, u, starts, starts, limits, None, expanders[i])
+                term_pool = term_candidate_pool(starts if i == 0 else [*starts, redex])
+                assert got == reference_successors(theory, u, default_value_pool(theory, starts),
+                                                   term_pool, limits, None), (u, i)
+                slow[i] += sum(c.draw.side.term_extras != () for c in spines)
+        assert slow[0] == 0 < slow[1]
