@@ -59,20 +59,30 @@ class FiniteCEAlgebra:
     carriers: dict[Sort, tuple]
     tables: dict[str, dict[tuple, object]]  # symbol name -> args -> result
 
+    def __post_init__(self) -> None:
+        # each carrier element, keyed by (type, value) as has_element compares
+        # them, mapped to whether it is underlying
+        self._underlying = {sort: {(type(e), e): self.is_underlying(sort, e) for e in elems}
+                            for sort, elems in self.carriers.items()}
+
     def model(self) -> UnderlyingModel:
         return self.theory.model
 
     def is_underlying(self, sort: Sort, elem: object) -> bool:
         return sort.kind == THEORY and self.theory.model.element_in_carrier(sort, elem)
 
+    def _underlying_elem(self, sort: Sort, elem: object) -> bool:
+        """is_underlying, looked up for a carrier element."""
+        known = self._underlying.get(sort, {}).get((type(elem), elem))
+        return self.is_underlying(sort, elem) if known is None else known
+
     def model_decides(self, f: FunSymbol, args: tuple) -> bool:
         """Whether f on args is the underlying model's, not a table's: f is a
         theory symbol and every argument is underlying."""
-        return f.kind == THEORY and all(
-            self.is_underlying(s, a) for s, a in zip(f.arg_sorts, args))
+        return f.kind == THEORY and all(map(self._underlying_elem, f.arg_sorts, args))
 
     def underlying_part(self, sort: Sort) -> tuple:
-        return tuple(e for e in self.carriers[sort] if self.is_underlying(sort, e))
+        return tuple(e for e in self.carriers[sort] if self._underlying_elem(sort, e))
 
     def fill_fresh_entries(self) -> None:
         """Give each theory symbol an entry, where its table has none, on
@@ -92,7 +102,7 @@ class FiniteCEAlgebra:
                 if missing:
                     raise AlgebraError(
                         f"carrier of {name} must contain every model element; "
-                        f"missing {sorted(map(str, missing))}")
+                        f"missing {_elements_text(missing)}")
         for sort in self.theory.signature.sorts:
             if sort.kind == TERM and sort not in self.carriers:
                 raise AlgebraError(f"no carrier declared for sort {sort.name}")
@@ -103,7 +113,7 @@ class FiniteCEAlgebra:
             for combo in itertools.product(*(self.carriers[s] for s in f.arg_sorts)):
                 if combo not in table:
                     raise AlgebraError(
-                        f"table for {f.name} is missing entry {tuple(map(str, combo))}")
+                        f"table for {f.name} is missing entry {_elements_text(combo)}")
                 if not has_element(self.carriers[f.result_sort], table[combo]):
                     raise AlgebraError(f"table for {f.name} leaves the carrier")
 
@@ -126,8 +136,7 @@ class FiniteCEAlgebra:
             result = self.theory.model.interp[f.name](*args)
             if result not in self.carriers[f.result_sort]:
                 raise AlgebraError(
-                    f"{f.name}{tuple(map(str, args))} leaves the declared "
-                    "carrier slice")
+                    f"{f.name}{_elements_text(args)} leaves the declared carrier slice")
             return result
         try:
             return self.tables[f.name][args]
@@ -136,7 +145,12 @@ class FiniteCEAlgebra:
 
     def missing(self, f: FunSymbol, args: tuple) -> object:
         """The answer for f on args when its table has no entry."""
-        raise AlgebraError(f"table for {f.name} has no entry {tuple(map(str, args))}")
+        raise AlgebraError(f"table for {f.name} has no entry {_elements_text(args)}")
+
+
+def _elements_text(elems: Iterable) -> str:
+    """Elements as algebra files write them: (true #b1)."""
+    return "(" + " ".join(map(UnderlyingModel.value_name, elems)) + ")"
 
 
 def _fill_first(alg: FiniteCEAlgebra, symbols: Iterable[FunSymbol]) -> None:
@@ -146,9 +160,10 @@ def _fill_first(alg: FiniteCEAlgebra, symbols: Iterable[FunSymbol]) -> None:
         table = alg.tables.setdefault(f.name, {})
         if f.result_sort not in alg.carriers:
             continue  # validate reports the missing carrier
+        first = alg.carriers[f.result_sort][0]
         for combo in itertools.product(*(alg.carriers.get(s, ()) for s in f.arg_sorts)):
             if not alg.model_decides(f, combo):
-                table.setdefault(combo, alg.carriers[f.result_sort][0])
+                table.setdefault(combo, first)
 
 
 def _ranges(alg: FiniteCEAlgebra, ce: ConstrainedEquation) -> tuple[list[Variable], list[tuple]]:
@@ -259,37 +274,43 @@ def search_counter_model(
               f"term-sort size={term_sort_size}")
 
     # the constraints do not depend on the tables, so each equation's
-    # admissible valuations are found once, not on every search node
-    eq_plans = [(ce, list(_admissible(shell, ce))) for ce in theory.equations]
-    goal_valuations = list(_admissible(shell, goal))
+    # admissible valuations are found once, not on every search node; the
+    # goal's plan is the last
+    plans = [(ce, list(_admissible(shell, ce))) for ce in (*theory.equations, goal)]
 
     nodes = 0
     exhausted_budget = False
 
-    def solve() -> Optional[dict]:
+    def solve(i: int, j: int) -> Optional[dict]:
+        """A refuting valuation if every equation holds, else None, checking
+        from plan i's valuation j on: a check passed under fewer entries still
+        passes, as evaluation reads only entries that exist."""
         nonlocal nodes, exhausted_budget
         nodes += 1
         if nodes > max_nodes:
             exhausted_budget = True
             return None
         try:
-            # a refuting valuation if every equation holds, else None
-            for ce, valuations in eq_plans:
-                if _first_difference(shell, ce, valuations) is not None:
-                    return None
-            return _first_difference(shell, goal, goal_valuations)
+            for i in range(i, len(plans)):
+                ce, valuations = plans[i]
+                for j in range(j, len(valuations)):
+                    rho = valuations[j]
+                    if shell.eval(ce.lhs, rho) != shell.eval(ce.rhs, rho):
+                        return rho if i == len(plans) - 1 else None
+                j = 0
+            return None
         except _Need as need:
             f, args = need.args
             table = shell.tables.setdefault(f.name, {})
             for value in carriers[f.result_sort]:
                 table[args] = value
-                rho = solve()
+                rho = solve(i, j)
                 if rho is not None:
                     return rho
                 del table[args]
             return None
 
-    rho = solve()
+    rho = solve(0, 0)
     if rho is None:
         return SearchOutcome(None, None, nodes, exhausted_budget, bounds)
     algebra = FiniteCEAlgebra(theory, carriers, shell.tables)
@@ -329,11 +350,12 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
         for block in parts:
             if not block:
                 raise NotACongruence(f"empty block for sort {sort.name}")
-            under = [e for e in block if alg.is_underlying(sort, e)]
+            under = [e for e in block if alg._underlying_elem(sort, e)]
             if len(under) > 1:
+                name = UnderlyingModel.value_name
                 raise NotACongruence(
-                    f"block {sorted(map(str, block))} merges underlying elements "
-                    f"{sorted(map(str, under))}")
+                    f"block {_elements_text(sorted(block, key=name))} merges underlying "
+                    f"elements {_elements_text(sorted(under, key=name))}")
             seen.update(block)
         if seen != set(alg.carriers[sort]):
             raise NotACongruence(f"blocks do not partition the carrier of {sort.name}")
@@ -353,8 +375,8 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
                 by_rep[combo_rep] = (r, combo)
             elif prev[0] != r:
                 raise NotACongruence(
-                    f"{f.name} is not compatible: {tuple(map(str, prev[1]))} and "
-                    f"{tuple(map(str, combo))} are related but give unrelated results")
+                    f"{f.name} is not compatible: {_elements_text(prev[1])} and "
+                    f"{_elements_text(combo)} are related but give unrelated results")
 
     new_carriers = {
         sort: tuple(dict.fromkeys(rep(sort, e) for e in elems))

@@ -350,7 +350,7 @@ def cmd_refute(args):
     lines = ["counter-model found; goal refuted at valuation " + json.dumps(rho),
              alg_text.rstrip()]
     return EXIT_YES, {"verdict": "refuted", "valuation": rho,
-                      "algebra": alg_text}, lines
+                      "algebra": alg_text, "nodes": outcome.nodes}, lines
 
 
 def cmd_model_check(args):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lcer.algebra import (
@@ -15,10 +17,10 @@ from lcer.algebra import (
     search_counter_model,
 )
 from lcer.equations import CETheory, replay_trace
-from lcer.models import EvalError
+from lcer.models import EvalError, has_element
 from lcer.sexpr import ParseError
 from lcer.syntax import parse_goal_spec, parse_term, parse_theory
-from lcer.terms import Variable
+from lcer.terms import THEORY, Variable
 from tests.conftest import load_fixture
 
 
@@ -80,6 +82,46 @@ def test_boolean_is_not_an_integer_element():
     assert not model.element_in_carrier(model.sorts["Int"], True)
     with pytest.raises(EvalError):
         model.value_symbol(model.sorts["Int"], True)
+
+
+def _underlying_by_has_element(model, sort, elem) -> bool:
+    car = model.carriers.get(sort)
+    if sort.kind != THEORY or car is None:
+        return False
+    if car.finite:
+        return has_element(car.elements, elem)
+    return has_element(range(-64, 65), elem)  # the integers, as far as these tests go
+
+
+@pytest.mark.parametrize("source, carriers", [
+    ("(theory (model intmod 2) (sorts U) (fun h (Int) U))",
+     "(carrier Int 0 1 #int0) (carrier Bool false true #bool0) (carrier U #u0)"),
+    # a slice of the integers: 5 is underlying, though the slice does not hold it
+    ("(theory (model lia) (sorts U) (fun h (Int) U))",
+     "(carrier Int 0 1 #int0) (carrier Bool false true) (carrier U #u0)"),
+])
+def test_model_membership_compares_type_and_value(source, carriers):
+    theory = parse_theory(source).theory
+    alg = parse_algebra(theory, f"(algebra {carriers}"
+                                " (table h ((#int0) #u0) ((0) #u0) ((1) #u0)))")
+    model = theory.model
+    universe = (0, 1, 5, True, False, "#int0", "#bool0", "#u0")
+    for sort, elems in alg.carriers.items():
+        assert alg.underlying_part(sort) == tuple(
+            e for e in elems if _underlying_by_has_element(model, sort, e))
+    for f in [*model.symbols.values(), theory.signature.symbol("h")]:
+        for args in itertools.product(universe, repeat=f.arity):
+            expected = f.kind == THEORY and all(
+                _underlying_by_has_element(model, s, a) for s, a in zip(f.arg_sorts, args))
+            assert alg.model_decides(f, args) == expected, (f.name, args)
+    int_sort, bool_sort = model.sorts["Int"], model.sorts["Bool"]
+    plus, neg = model.symbols["+"], model.symbols["not"]
+    assert alg.model_decides(plus, (1, 0)) and not alg.model_decides(plus, (True, 0))
+    assert not alg.model_decides(plus, (1, False)) and not alg.model_decides(plus, ("#int0", 1))
+    assert alg.model_decides(neg, (True,)) and not alg.model_decides(neg, (1,))
+    assert alg.underlying_part(int_sort) == (0, 1)
+    assert alg.underlying_part(bool_sort) == (False, True)
+    assert alg.model_decides(plus, (5, 1)) == (model.name == "lia")
 
 
 UNARY_U = "(theory (model bool) (sorts U) (fun c () U) (fun k (U) U))"
@@ -231,7 +273,7 @@ def test_quotient_of_a_carrier_slice_names_the_escaping_application():
     alg = parse_algebra(tf.theory, """(algebra (carrier Int 0 1) (carrier Bool false true)
       (carrier U #u) (table c (() #u)) (table h ((#u) 0)))""")
     assert check_is_model(alg).ok
-    with pytest.raises(AlgebraError, match=r"^\+\('1', '1'\) leaves the declared carrier slice$"):
+    with pytest.raises(AlgebraError, match=r"^\+\(1 1\) leaves the declared carrier slice$"):
         quotient(alg, identity_congruence(alg))
 
 

@@ -240,6 +240,25 @@ def test_model_check_prints_bool_valuations_as_algebra_files_do(capsys, tmp_path
     assert code == 1 and doc["valuation"] == {"x": "true"}
 
 
+def test_algebra_errors_print_elements_as_algebra_files_do(capsys, tmp_path):
+    alg = tmp_path / "no_f_true.alg"
+    alg.write_text("(algebra (carrier Bool true false #b1)"
+                   " (table f ((false) true) ((#b1) false))"
+                   " (table g ((true) true) ((false) true) ((#b1) true)))")
+    code, doc = run_json(capsys, "model-check", fx("refute_bool.th"), "-a", str(alg))
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert doc["detail"] == "table for f is missing entry (true)"
+    code, out = run(capsys, "model-check", fx("refute_bool.th"), "-a", str(alg))
+    assert code == 3 and out == "error: table for f is missing entry (true)\n"
+
+
+def test_refute_reports_nodes_in_json_only(capsys):
+    code, out = run(capsys, "refute", fx("refute_bool.th"), "-g", "gf")
+    assert code == 0 and "nodes" not in out
+    code, doc = run_json(capsys, "refute", fx("refute_bool.th"), "-g", "gf")
+    assert code == 0 and doc["verdict"] == "refuted" and doc["nodes"] == 12
+
+
 NUMERIC_OPTIONS = [
     ("validate", "absmax.th", "--bound"), ("validate", "absmax.th", "--box"),
     ("prove", "absmax.th", "--rewrite-depth"), ("consistent", "mod12.th", "--depth"),
