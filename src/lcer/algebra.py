@@ -512,7 +512,8 @@ def parse_algebra(theory: CETheory, text: str) -> FiniteCEAlgebra:
                                     expect_atom(entry.items[1], "an element"))
             for s, e in zip(sym.arg_sorts + (sym.result_sort,), args + (result,)):
                 if not has_element(carriers.get(s, ()), e):
-                    raise ParseError(f"element {e} is not in the carrier of {s.name}",
+                    raise ParseError(f"element {UnderlyingModel.value_name(e)} is not in "
+                                     f"the carrier of {s.name}",
                                      entry.line, entry.col)
             if alg.model_decides(sym, args):
                 expected = model.interp[sym.name](*args)

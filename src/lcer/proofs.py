@@ -6,13 +6,14 @@ reports the first failing node in pre-order.  Side conditions that need
 constraint validity go through the oracle, and an undecided oracle query is
 surfaced as its own verdict rather than being treated as pass or fail.
 
-Proofs are built by `generate_calc_proof`, for goals whose instances are one
-calculation apart, and by `prove_heuristic`.  The rewriting stage of the
-latter is validate's own: it takes the proof verdicts of
+`Derivation` and `RULES` are `validity`'s, re-exported.  Proofs are built by
+`generate_calc_proof`, for goals whose sides differ only in theory subterms
+the constraint proves equal, and by `prove_heuristic`.  The rewriting stage
+of the latter is validate's own: it takes the proof verdicts of
 `validity.proof_search` in order, simulates a conversion trace step by step,
-or closes a trivial gap and joins it to the simulated gap traces.  Both
-generators close a gap with the one Refl/Axiom/Cong closer, `_close_trivial`,
-and every derivation they return is re-checked.
+or joins a trivial gap's derivation to the simulated gap traces.  Both close
+a gap with the one Refl/Axiom/Cong closure, `validity.close_trivial`, and
+every derivation they return is re-checked.
 """
 
 from __future__ import annotations
@@ -27,28 +28,21 @@ from .equations import (
     ConversionTrace,
     TraceStep,
 )
-from .models import enumerate_satisfying
+from .models import enumerate_satisfying  # noqa: F401  (the benchmark's tracer rebinds it)
 from .oracle import OracleBudget, check_validity
 from .terms import (
-    THEORY,
     App,
     Subst,
     Term,
     Variable,
     apply_subst,
-    decompose_differences,
-    is_ground,
     replace_at,
     subterm_at,
     theory_over,
     vars_of,
 )
-from .validity import ValidityBudgets, proof_search
-
-RULES = (
-    "Refl", "Trans", "Sym", "Cong", "Rule", "TheoryInstance", "GeneralInstance",
-    "Weakening", "Split", "Axiom", "Abst", "Enlarge",
-)
+from .validity import RULES  # noqa: F401  (re-exported with Derivation)
+from .validity import Derivation, ValidityBudgets, close_trivial, proof_search
 
 _ARITY = {
     "Refl": 0, "Rule": 0, "Axiom": 0,
@@ -59,25 +53,6 @@ _ARITY = {
 }
 
 _NEEDS_WITNESS = {"TheoryInstance", "GeneralInstance", "Abst"}
-
-
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    conclusion: ConstrainedEquation
-    witness: Optional[tuple[tuple[Variable, Term], ...]] = None
-    premises: tuple["Derivation", ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.rule not in RULES:
-            raise CEError(f"unknown inference rule {self.rule}")
-
-    def witness_subst(self) -> dict[Variable, Term]:
-        return dict(self.witness or ())
-
-    def count_nodes(self, rule: str | None = None) -> int:
-        n = 1 if (rule is None or self.rule == rule) else 0
-        return n + sum(p.count_nodes(rule) for p in self.premises)
 
 
 @dataclass
@@ -296,79 +271,23 @@ class GenerationError(Exception):
     """The generator could not verify its own precondition."""
 
 
-def _calc_joinable(model, u: Term, v: Term) -> bool:
-    """Every structural difference is a pair of ground theory terms with the
-    same value.  Instances at most one calculation step apart satisfy this,
-    and so do nested calculations like (0+1)-1 versus 0."""
-    if u == v:
-        return True
-    for a, b in decompose_differences(u, v)[1]:
-        if not (is_ground(a) and is_ground(b)):
-            return False
-        if isinstance(a, Variable) or isinstance(b, Variable):
-            return False
-        if a.fun.kind != THEORY or b.fun.kind != THEORY:
-            return False
-        if model.interpret(a) != model.interpret(b):
-            return False
-    return True
-
-
-def _close_trivial(theory: CETheory, ce: ConstrainedEquation,
-                   budget: OracleBudget) -> Optional[Derivation]:
-    """Refl/Axiom/Cong closure of ce, when its difference pairs are theory
-    terms over its logical variables whose equation the oracle proves under
-    its constraint; None otherwise."""
-    model = theory.model
-
-    def rec(a: Term, b: Term) -> Optional[Derivation]:
-        goal = ConstrainedEquation(ce.logical_vars, a, b, ce.constraint)
-        if a == b:
-            return Derivation("Refl", goal)
-        if theory_over(a, ce.logical_vars) and theory_over(b, ce.logical_vars):
-            obligation = model.implies(ce.constraint, model.equality(a, b))
-            if check_validity(model, obligation, budget).is_valid:
-                return Derivation("Axiom", goal)
-            return None
-        if isinstance(a, App) and isinstance(b, App) and a.fun == b.fun:
-            premises = []
-            for x, y in zip(a.args, b.args):
-                p = rec(x, y)
-                if p is None:
-                    return None
-                premises.append(p)
-            return Derivation("Cong", goal, premises=tuple(premises))
-        return None
-
-    return rec(ce.lhs, ce.rhs)
-
-
 def generate_calc_proof(theory: CETheory, ce: ConstrainedEquation,
                         budget: OracleBudget | None = None,
                         box: int = 8) -> Derivation:
-    """Build a derivation for goals whose instances differ by at most one
-    calculation step, verifying that precondition by enumeration first."""
+    """Build the Refl/Axiom/Cong derivation of a goal with a satisfiable
+    constraint whose sides differ only in theory subterms the constraint
+    proves equal, such as goals whose instances are one calculation apart.
+    The derivation is re-checked; box is unused, since no instance is
+    enumerated."""
     budget = budget or OracleBudget()
     model = theory.model
-
     sat = check_validity(model, App(model.symbols["not"], (ce.constraint,)), budget)
-    if sat.is_valid:
-        raise GenerationError("constraint is unsatisfiable")
-    if sat.is_unknown:
-        raise GenerationError("oracle could not confirm the constraint is satisfiable")
+    if not sat.is_invalid:
+        raise GenerationError("constraint is unsatisfiable" if sat.is_valid else
+                              "oracle could not confirm the constraint is satisfiable")
 
-    count = 0
-    for sigma in enumerate_satisfying(model, ce.logical_vars, ce.constraint, box=box):
-        count += 1
-        if count > 100_000:
-            raise GenerationError("too many instances to verify the precondition")
-        if not _calc_joinable(model, apply_subst(sigma, ce.lhs),
-                              apply_subst(sigma, ce.rhs)):
-            raise GenerationError(
-                f"instance {_fmt_subst(sigma)} is not joinable by calculation alone")
-
-    d = _close_trivial(theory, ce, budget)
-    if d is None:
+    d = close_trivial(theory, ce, budget)
+    if not isinstance(d, Derivation):
         raise GenerationError(f"cannot close the gap between {ce.lhs!r} and {ce.rhs!r}")
     report = check_proof(theory, d, budget)
     if not report.accepted:
@@ -461,7 +380,7 @@ def prove_heuristic(theory: CETheory, ce: ConstrainedEquation,
     budgets = budgets or ValidityBudgets()
 
     try:
-        return generate_calc_proof(theory, ce, budgets.oracle, box=budgets.box)
+        return generate_calc_proof(theory, ce, budgets.oracle)
     except GenerationError:
         pass
 
@@ -478,20 +397,18 @@ def prove_heuristic(theory: CETheory, ce: ConstrainedEquation,
 
 def _prove_by_rewriting(theory, ce, budgets) -> Optional[Derivation]:
     """The first of check_ce_validity's proof verdicts for ce that becomes a
-    derivation: a conversion trace is simulated, and a trivial gap is closed
-    and joined to the simulations of both gap traces."""
+    derivation: a conversion trace is simulated, and a trivial gap's
+    derivation is joined to the simulations of both gap traces."""
     X, phi = ce.logical_vars, ce.constraint
     for status in proof_search(theory, ce, budgets):
         if status.trace is not None:
             d = simulate_trace(theory, ce.lhs, status.trace, X, phi)
             return d or Derivation("Refl", ce)
+        if status.gap_proof is None:
+            continue  # a vacuous gap the closure does not close
         ls, rs = status.gap  # type: ignore[misc]
         left, right = status.gap_traces  # type: ignore[misc]
-        gap = None
-        if ls != rs:
-            gap = _close_trivial(theory, ConstrainedEquation(X, ls, rs, phi), budgets.oracle)
-            if gap is None:
-                continue
+        gap = status.gap_proof if ls != rs else None
         fwd = simulate_trace(theory, ce.lhs, left, X, phi)
         bwd = simulate_trace(theory, rs, tuple(st.reversed_() for st in reversed(right)),
                              X, phi)

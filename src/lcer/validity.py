@@ -1,10 +1,11 @@
-"""Triviality checking and the bounded semi-decision of equational validity.
+"""Triviality and the bounded semi-decision of equational validity.
 
 A constrained equation is trivial when every constraint-satisfying value
 instantiation of its logical variables makes both sides syntactically equal.
-Validity checking tries, in order: direct conversion search (closed goals),
-rewriting both sides to a trivial gap (a proof), and exhaustive sampling of
-satisfying instances (evidence only, never a proof).
+`close_trivial`, the Refl/Axiom/Cong closure, is the one place that decides
+it.  Validity checking tries, in order: direct conversion search (closed
+goals), rewriting both sides to a trivial gap (a proof), and exhaustive
+sampling of satisfying instances (evidence only, never a proof).
 
 The two proof steps are `proof_search`, which yields every proof verdict in
 that order, each only when asked for: `check_ce_validity` takes the first,
@@ -18,14 +19,15 @@ as `reachable_terms` does.
 
 Step (2) asks the oracle whether the constraint is unsatisfiable (`not phi`
 valid) once per goal.  If it is, every pair is vacuously trivial.  Otherwise
-is_trivial answers Valid on a pair only if each difference pair of its two
-sides is a theory term over X, and then the two sides have equal skeletons
-(`_skeleton`).  So the step is one lazy join of the two reachable sets: on
-their skeletons, or on one key for every pair of a vacuous goal.  Candidates
-are merged in the order of trace lengths, sizes and term keys, produced only
-when asked for, and `max_trivial_pairs` caps them.  A candidate of a
-satisfiable goal is trivial when the constraint entails each of its
-difference pairs.
+the closure closes a pair only if its sides agree down to the topmost
+subterms that are theory terms over X, and then the two sides have equal
+skeletons (`_skeleton`).  So the step is one lazy join of the two reachable
+sets: on their skeletons, or on one key for every pair of a vacuous goal.
+Candidates are merged in the order of trace lengths, sizes and term keys,
+produced only when asked for, and `max_trivial_pairs` caps them.  A
+candidate is trivial when the closure closes it, with its derivation as the
+status's `gap_proof`; a vacuous goal yields every candidate, with a
+`gap_proof` where the closure closes.
 
 Step (3) runs one conversion search per sample, and the samples of one goal
 mostly share their redexes and their draw context (see `equations`).  So
@@ -52,6 +54,7 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Iterator, Optional
 
 from .equations import (
+    CEError,
     CETheory,
     ConstrainedEquation,
     ConversionTrace,
@@ -67,14 +70,13 @@ from .equations import (
     search_stop,
 )
 from .models import enumerate_satisfying
-from .oracle import OracleBudget, Verdict, check_validity, valid, unknown
+from .oracle import INVALID, OracleBudget, Verdict, check_validity, valid, unknown
 from .terms import (
     THEORY,
     App,
     Term,
     Variable,
     apply_subst,
-    decompose_differences,
     fresh_var,
     match,
     sort_of,
@@ -127,59 +129,100 @@ def _symbolic_draws(theory: CETheory, sub: Term, X: frozenset[Variable],
     return tuple(out)
 
 
+RULES = (
+    "Refl", "Trans", "Sym", "Cong", "Rule", "TheoryInstance", "GeneralInstance",
+    "Weakening", "Split", "Axiom", "Abst", "Enlarge",
+)
+
+
+@dataclass(frozen=True)
+class Derivation:
+    rule: str
+    conclusion: ConstrainedEquation
+    witness: Optional[tuple[tuple[Variable, Term], ...]] = None
+    premises: tuple["Derivation", ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.rule not in RULES:
+            raise CEError(f"unknown inference rule {self.rule}")
+
+    def witness_subst(self) -> dict[Variable, Term]:
+        return dict(self.witness or ())
+
+    def count_nodes(self, rule: str | None = None) -> int:
+        n = 1 if (rule is None or self.rule == rule) else 0
+        return n + sum(p.count_nodes(rule) for p in self.premises)
+
+
+def close_trivial(theory: CETheory, ce: ConstrainedEquation,
+                  budget: OracleBudget) -> Derivation | tuple[Term, Term, Verdict]:
+    """The Refl/Axiom/Cong closure of ce: Refl on equal terms, Axiom on the
+    topmost theory pair over ce's logical variables whose equation the oracle
+    proves under ce's constraint, Cong on equal roots (also below a theory
+    pair left Unknown).  Returns the derivation, or the first pair it could
+    not close with the oracle's verdict on it; a pair whose term structure
+    differs is Invalid with no witness."""
+    model, X, phi = theory.model, ce.logical_vars, ce.constraint
+
+    def rec(a: Term, b: Term) -> Derivation | tuple[Term, Term, Verdict]:
+        if a == b:
+            return Derivation("Refl", ConstrainedEquation(X, a, b, phi))
+        same_root = isinstance(a, App) and isinstance(b, App) and a.fun == b.fun
+        if theory_over(a, X) and theory_over(b, X):
+            v = check_validity(model, model.implies(phi, model.equality(a, b)), budget)
+            if v.is_valid:
+                return Derivation("Axiom", ConstrainedEquation(X, a, b, phi))
+            if v.is_invalid or not same_root:  # else Cong: n = 0 may decide m + n = m + 0
+                return a, b, v
+        elif not same_root:
+            return a, b, Verdict(INVALID)
+        premises = []
+        for x, y in zip(a.args, b.args):
+            p = rec(x, y)
+            if not isinstance(p, Derivation):
+                return p
+            premises.append(p)
+        return Derivation("Cong", ConstrainedEquation(X, a, b, phi), premises=tuple(premises))
+
+    return rec(ce.lhs, ce.rhs)
+
+
 def is_trivial(theory: CETheory, ce: ConstrainedEquation,
                budget: OracleBudget | None = None) -> Verdict:
-    """Valid = trivial; Invalid carries a witness substitution with distinct sides."""
+    """Valid = trivial; Invalid carries a witness substitution with distinct
+    sides, built from the first pair close_trivial could not close."""
     budget = budget or OracleBudget()
-    model = theory.model
+    model, X = theory.model, ce.logical_vars
     unsat = check_validity(model, App(model.symbols["not"], (ce.constraint,)), budget)
     if unsat.is_valid:
         return valid()  # vacuously trivial
-    sigma0: Optional[dict[Variable, Term]] = None  # a satisfying X-valued instance
+    closed = close_trivial(theory, ce, budget)
+    if isinstance(closed, Derivation):
+        return valid()
+    a, b, v = closed
+    sigma = dict(unsat.witness or {})  # a satisfying instance, completed over X
     if unsat.is_invalid:
-        sigma0 = dict(unsat.witness or {})
-        for x in ce.logical_vars:
-            if x not in sigma0:
-                car = model.carriers[x.sort]
-                elem = car.elements[0] if car.finite else 0  # type: ignore[index]
-                sigma0[x] = model.value_term(x.sort, elem)
-    _, pairs = decompose_differences(ce.lhs, ce.rhs)
-    saw_unknown: Optional[Verdict] = None
-    for a, b in pairs:
-        if theory_over(a, ce.logical_vars) and theory_over(b, ce.logical_vars):
-            obligation = model.implies(ce.constraint, model.equality(a, b))
-            v = check_validity(model, obligation, budget)
-            if v.is_valid:
-                continue
-            if v.is_invalid:
-                sigma = dict(v.witness or {})
-                if sigma0:
-                    for x, val in sigma0.items():
-                        sigma.setdefault(x, val)
-                if apply_subst(sigma, ce.lhs) != apply_subst(sigma, ce.rhs):
-                    return Verdict("invalid", witness=sigma)
-                saw_unknown = unknown("oracle witness did not separate the sides")
-            else:
-                saw_unknown = v
-            continue
-        # a difference pair with a variable outside X, or with term structure,
-        # is refuted by instantiation
-        if sigma0 is None:
-            saw_unknown = unknown("could not sample a satisfying instance")
-            continue
-        sigma = dict(sigma0)
-        for side, other in ((a, b), (b, a)):
-            if isinstance(side, Variable) and side not in ce.logical_vars:
+        for x in X - sigma.keys():
+            car = model.carriers[x.sort]
+            elem = car.elements[0] if car.finite else 0  # type: ignore[index]
+            sigma[x] = model.value_term(x.sort, elem)
+    if theory_over(a, X) and theory_over(b, X):
+        if not v.is_invalid:
+            return v
+        sigma.update(v.witness or {})
+    elif unsat.is_unknown:
+        return unknown("could not sample a satisfying instance")
+    else:
+        # a pair with term structure, or with a variable outside X, is
+        # refuted by instantiation
+        for side in (a, b):
+            if isinstance(side, Variable) and side not in X:
                 avoid = vars_of(ce.lhs) | vars_of(ce.rhs) | set(sigma)
-                cand: Term = fresh_var("w", side.sort, avoid)
-                if cand == apply_subst(sigma, other):
-                    cand = fresh_var("w'", side.sort, avoid)
-                sigma[side] = cand
+                sigma[side] = fresh_var("w", side.sort, avoid)
                 break
-        if apply_subst(sigma, ce.lhs) != apply_subst(sigma, ce.rhs):
-            return Verdict("invalid", witness=sigma)
-        saw_unknown = unknown(f"could not separate pair {a!r} / {b!r}")
-    return saw_unknown or valid()
+    if apply_subst(sigma, ce.lhs) != apply_subst(sigma, ce.rhs):
+        return Verdict(INVALID, witness=sigma)
+    return unknown(f"could not separate pair {a!r} / {b!r}")
 
 
 @dataclass
@@ -204,6 +247,7 @@ class ValidityStatus:
     trace: Optional[ConversionTrace] = None
     gap: Optional[tuple[Term, Term]] = None
     gap_traces: Optional[tuple[ConversionTrace, ConversionTrace]] = None
+    gap_proof: Optional[Derivation] = None  # closes gap; None only on a vacuous goal
     samples: int = 0
     failing_sample: Optional[dict[Variable, Term]] = None
     detail: str = ""
@@ -279,7 +323,7 @@ def proof_search(theory: CETheory, ce: ConstrainedEquation,
 
     # (2) rewrite both sides toward a trivial constrained equation.  Unless
     # the constraint is unsatisfiable, only a pair with equal skeletons can be
-    # trivial, so the two reachable sets are joined on their skeletons, and
+    # closed, so the two reachable sets are joined on their skeletons, and
     # on one key for every pair if it is
     X, phi = ce.logical_vars, ce.constraint
     model = theory.model
@@ -295,16 +339,14 @@ def proof_search(theory: CETheory, ce: ConstrainedEquation,
         *(zip(itertools.repeat(ls), buckets.get(join(ls), ())) for ls in left),
         key=lambda p: (len(left[p[0]]) + len(right[p[1]]), p[0].size + p[1].size,
                        term_key(p[0]), term_key(p[1])))
-    # rewriting keeps sorts, so each pair decomposes; equal skeletons make
-    # each difference pair a theory term over X
+    # rewriting keeps sorts, so each candidate is an equation
     for ls, rs in itertools.islice(candidates, budgets.max_trivial_pairs):
-        if vacuous or all(
-                check_validity(model, model.implies(phi, model.equality(a, b)),
-                               budgets.oracle).is_valid
-                for a, b in decompose_differences(ls, rs)[1]):
+        closed = close_trivial(theory, ConstrainedEquation(X, ls, rs, phi), budgets.oracle)
+        gap_proof = closed if isinstance(closed, Derivation) else None
+        if vacuous or gap_proof is not None:
             proved = True
             yield ValidityStatus("proved-by-triviality", gap=(ls, rs),
-                                 gap_traces=(left[ls], right[rs]))
+                                 gap_traces=(left[ls], right[rs]), gap_proof=gap_proof)
     if not proved:
         theory.outcomes[key] = None
 

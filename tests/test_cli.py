@@ -126,6 +126,23 @@ def test_prove_no_proof(capsys):
     assert code == 2 and doc["verdict"] == "no-proof"
 
 
+GROUP_GAP_GOAL = ["-l", "op(exp(x, n), exp(x, m))", "-r", "exp(x, +(n, m))",
+                  "-c", "and(>=(n, 0), <=(m, 1))", "--pi", "n m"]
+
+
+def test_a_gap_closed_by_cong_over_axiom_is_proved(capsys, tmp_path):
+    # the gap closes by Cong over the Axiom m + n = n + m, though the
+    # constraint entails neither of its differing leaves, m = n and n = m
+    code, doc = run_json(capsys, "validate", fx("group.th"), *GROUP_GAP_GOAL)
+    assert code == 0 and doc["verdict"] == "proved-by-triviality"
+    assert doc["gap"] == ["(exp x (+ m n))", "(exp x (+ n m))"]
+    out_file = tmp_path / "gap.prf"
+    code, out = run(capsys, "prove", fx("group.th"), *GROUP_GAP_GOAL, "-o", str(out_file))
+    assert code == 0 and out.startswith("proof found and checked")
+    code, out = run(capsys, "check", fx("group.th"), "-p", str(out_file))
+    assert code == 0 and "accepted" in out
+
+
 def test_consistent(capsys):
     code, doc = run_json(capsys, "consistent", fx("inconsistent.th"), "--depth", "2")
     assert code == 1 and doc["verdict"] == "inconsistent"
@@ -250,6 +267,16 @@ def test_algebra_errors_print_elements_as_algebra_files_do(capsys, tmp_path):
     assert doc["detail"] == "table for f is missing entry (true)"
     code, out = run(capsys, "model-check", fx("refute_bool.th"), "-a", str(alg))
     assert code == 3 and out == "error: table for f is missing entry (true)\n"
+
+
+def test_an_element_outside_its_carrier_is_printed_as_written(capsys, tmp_path):
+    alg = tmp_path / "no_true.alg"
+    alg.write_text("(algebra (carrier Bool false #b1)\n"
+                   " (table f ((false) true) ((#b1) false))\n"
+                   " (table g ((false) false) ((#b1) false)))")
+    code, out = run(capsys, "model-check", fx("refute_bool.th"), "-a", str(alg))
+    assert code == 3
+    assert out == "error: 2:11: element true is not in the carrier of Bool\n"
 
 
 def test_refute_reports_nodes_in_json_only(capsys):

@@ -4,7 +4,9 @@ These tests compare it with a reference, the nested loop over every pair in
 the sort order with the public is_trivial: no pair the loop finds trivial
 has unequal skeletons (unless the goal is vacuous), and proof_search yields
 exactly the trivial pairs among the loop's first max_trivial_pairs
-candidates, in order, with their traces."""
+candidates, in order, with their traces.  The same loop compares the
+closure that step (2) runs on each candidate with its former test, the
+entailment of each difference pair, and checks each derivation it builds."""
 
 import random
 
@@ -13,7 +15,7 @@ import pytest
 from lcer import validity
 from lcer.equations import ConstrainedEquation
 from lcer.oracle import check_validity
-from lcer.proofs import check_proof, prove_heuristic, simulate_trace
+from lcer.proofs import Derivation, check_proof, prove_heuristic, simulate_trace
 from lcer.syntax import parse_goal_spec
 from lcer.terms import App, decompose_differences, term_key, vars_of
 from lcer.validity import ValidityBudgets, check_ce_validity, is_trivial, proof_search
@@ -41,6 +43,8 @@ FIXTURE_GOALS = [
     ("lists", "nth(xs, n)", "none", "and(<(n, 0), >(n, 0))", "n"),
     ("splitabst", "f(x)", "0", "true", "x"),
     ("splitabst", "f(true)", "f(false)", "true", ""),
+    ("group", "op(exp(x, n), exp(x, m))", "exp(x, +(n, m))", "and(>=(n, 0), <=(m, 1))", "n m"),
+    ("group", "exp(x, +(m, n))", "exp(x, +(m, 0))", "and(>=(n, 0), <=(n, 0))", "m n"),
 ]
 
 
@@ -73,7 +77,7 @@ def _entails_each_difference(theory, ce, budgets):
 
 
 def test_the_join_yields_every_trivial_candidate_of_the_nested_loop(request):
-    vacuous_goals = joined = compared = statuses = 0
+    vacuous_goals = joined = closed = beyond = compared = statuses = 0
     for theory, ce, budgets in _cases(request):
         model = theory.model
         X, phi = ce.logical_vars, ce.constraint
@@ -91,11 +95,21 @@ def test_the_join_yields_every_trivial_candidate_of_the_nested_loop(request):
             trivial = vacuous or is_trivial(theory, pair, budgets.oracle).is_valid
             if not vacuous:
                 assert same or not trivial, (ce, ls, rs)
-                if same:
-                    joined += 1
-                    assert _entails_each_difference(theory, pair, budgets) == trivial, pair
             if same:
                 candidates.append(((ls, rs), trivial))
+                d = validity.close_trivial(theory, pair, budgets.oracle)
+                if isinstance(d, Derivation):
+                    closed += 1
+                    assert d.conclusion == pair
+                    assert check_proof(theory, d, budgets.oracle).accepted, pair
+            if same and not vacuous:
+                joined += 1
+                assert isinstance(d, Derivation) == trivial, pair
+                # differential: the former test of step (2) closes no pair
+                # the closure misses, and misses the Axiom over m + n = n + m
+                entailed = _entails_each_difference(theory, pair, budgets)
+                assert trivial or not entailed, pair
+                beyond += trivial and not entailed
         expected = [p for p, trivial in candidates[: budgets.max_trivial_pairs] if trivial]
         yielded = [s for s in proof_search(fresh_copy(theory), ce, budgets)
                    if s.kind == "proved-by-triviality"]
@@ -104,6 +118,28 @@ def test_the_join_yields_every_trivial_candidate_of_the_nested_loop(request):
         compared += bool(expected)
         statuses += len(expected)
     assert vacuous_goals >= 4 and joined >= 150 and statuses > compared >= 70
+    assert closed >= 200 and beyond >= 5
+
+
+def test_every_satisfiable_corpus_gap_carries_a_checked_derivation():
+    rng = random.Random(77)
+    gaps, derived = [], 0
+    for _ in range(150):
+        theory = finite_theory(rng.choice(["intmod", "bool"]), rng, n_equations=2)
+        ce = random_equation(theory, rng)
+        status = check_ce_validity(theory, ce, CORPUS_BUDGETS)
+        if status.kind != "proved-by-triviality":
+            continue
+        gaps.append(status)
+        model = theory.model
+        if status.gap_proof is None:
+            assert check_validity(model, App(model.symbols["not"], (ce.constraint,))).is_valid
+            continue
+        derived += 1
+        d = status.gap_proof
+        assert (d.conclusion.lhs, d.conclusion.rhs) == status.gap
+        assert check_proof(theory, d).accepted, ce
+    assert (len(gaps), derived) == (44, 36)
 
 
 def test_the_first_gap_of_a_vacuous_goal_keys_few_terms(absmax, monkeypatch):

@@ -8,7 +8,8 @@ import lcer.equations as equations
 import lcer.validity as validity
 from lcer.equations import default_value_pool
 from lcer.models import enumerate_satisfying
-from lcer.syntax import parse_goal_spec
+from lcer.proofs import check_proof
+from lcer.syntax import parse_goal_spec, term_text
 from lcer.terms import apply_subst
 from lcer.validity import (
     ValidityBudgets,
@@ -50,6 +51,35 @@ def test_not_trivial_term_structure(lists):
     ce = parse_goal_spec(lists.theory, "length(nil)", "0")
     verdict = is_trivial(lists.theory, ce)
     assert verdict.is_invalid
+
+
+def test_trivial_by_an_axiom_over_the_differing_leaves(group):
+    # m + n = n + m holds, though the leaves m / n and n / m differ
+    ce = parse_goal_spec(group.theory, "exp(x, +(m, n))", "exp(x, +(n, m))", "true", "m n")
+    assert is_trivial(group.theory, ce).is_valid
+
+
+def test_trivial_by_the_arguments_of_an_undecided_theory_pair(group):
+    # m + n = m + 0 under n = 0 has two variables, so the oracle leaves it
+    # Unknown; Cong below it asks n = 0, which the oracle proves
+    theory = fresh_copy(group.theory)
+    ce = parse_goal_spec(theory, "exp(x, +(m, n))", "exp(x, +(m, 0))",
+                         "and(>=(n, 0), <=(n, 0))", "m n")
+    assert is_trivial(theory, ce).is_valid
+    st = check_ce_validity(theory, ce)
+    assert st.kind == "proved-by-triviality" and st.gap == (ce.lhs, ce.rhs)
+    assert check_proof(theory, st.gap_proof).accepted
+
+
+def test_a_proved_gap_carries_a_checked_derivation(group):
+    theory = fresh_copy(group.theory)
+    ce = parse_goal_spec(theory, "op(exp(x, n), exp(x, m))", "exp(x, +(n, m))",
+                         "and(>=(n, 0), <=(m, 1))", "n m")
+    st = check_ce_validity(theory, ce)
+    assert st.kind == "proved-by-triviality"
+    assert [term_text(t) for t in st.gap] == ["(exp x (+ m n))", "(exp x (+ n m))"]
+    assert (st.gap_proof.conclusion.lhs, st.gap_proof.conclusion.rhs) == st.gap
+    assert check_proof(theory, st.gap_proof).accepted
 
 
 def test_validity_statuses(absmax):
@@ -205,11 +235,13 @@ def test_samples_with_different_term_pools_get_memos_of_their_own(group, monkeyp
     assert theory.term_extra_sorts == (theory.signature.sort("G"),)
     ce = parse_goal_spec(theory, "op(exp(x, n), exp(x, m))", "exp(x, +(n, m))",
                          "and(>=(n, 0), <=(m, 1))", "n m")
-    budgets = ValidityBudgets(bound=8, box=2)
+    # step (2) proves the goal, so no rewriting lets step (3) sample it
+    budgets = ValidityBudgets(bound=8, box=2, rewrite_depth=0)
     shared, reference, contexts = _shared_and_reference(theory, ce, budgets, monkeypatch)
     assert shared == reference
     assert (shared.kind, shared.samples) == ("confirmed-on-samples", 12)
     assert contexts == 12
+    assert check_ce_validity(fresh_copy(theory), ce).kind == "proved-by-triviality"
 
 
 def test_sampled_corpus_goals_match_the_reference(monkeypatch):
