@@ -38,9 +38,10 @@ one memo (`validity.check_ce_validity` passes one to all the searches of
 its samples and drops it on return).
 
 Draws die with their search, but its outcome does not: the theory keeps
-conversion_search's trace, or None, in its memo of outcomes
-(`CETheory.outcomes`), keyed by everything the search reads but draw_memos,
-and a repeated search returns it without searching.
+conversion_search's trace, None, or what stopped the search short of its
+bound, in its memo of outcomes (`CETheory.outcomes`), keyed by everything
+the search reads but draw_memos, and a repeated search returns it without
+searching.
 
 When the theory's rules are orthogonal and terminating (`CETheory._rules`,
 analysed on the first search), two terms convert exactly when their normal
@@ -213,12 +214,11 @@ class CETheory:
 
     A bounded search's outcome depends only on the theory and the search's
     inputs, so `outcomes` keeps it for as long as the theory lives:
-    conversion_search's trace or None, keyed by everything the search reads
-    (its endpoints, limits and value pool), and None for a
+    conversion_search's trace, None, or the name of what stopped it where
+    its bound is not the reason (see search_stop), keyed by everything the
+    search reads (its endpoints, limits and value pool), and None for a
     validity.proof_search that ended without a verdict, keyed by goal and
-    budgets.  It keeps only these immutable outcomes, never search state;
-    `stops` keeps why a conversion_search outcome is None, where its bound
-    is not the reason (see search_stop).
+    budgets.  It keeps only these immutable outcomes, never search state.
     """
 
     signature: Signature
@@ -226,8 +226,7 @@ class CETheory:
     equations: tuple[ConstrainedEquation, ...]
 
     def __post_init__(self) -> None:
-        self.outcomes: dict[tuple, Optional[ConversionTrace]] = {}
-        self.stops: dict[tuple, str] = {}
+        self.outcomes: dict[tuple, Optional[ConversionTrace] | str] = {}
         # by equation index, then direction
         self._sides = tuple(_Side.of(i, direction, eq, self.model)
                             for i, eq in enumerate(self.equations) for direction in ("lr", "rl"))
@@ -833,7 +832,8 @@ def conversion_search(
     limits.max_nodes stops returns None too; search_stop tells these cases
     apart.
 
-    The outcome is kept in theory.outcomes, and a later call with the same
+    The outcome is kept in theory.outcomes, with the name of what stopped
+    the search where that was not its bound, and a later call with the same
     arguments, draw_memos aside, returns it without searching.  draw_memos,
     if given, is the caller's dict of memos of draws by draw context (see
     Expander); None draws with a memo of this search.  Neither the
@@ -843,13 +843,10 @@ def conversion_search(
         raise CEError("conversion endpoints must have the same sort")
     limits = limits or SearchLimits()
     key = _outcome_key(s, t, limits, value_pool)
-    trace = theory.outcomes.get(key, _UNSEEN)
-    if trace is _UNSEEN:
-        trace = _search(theory, s, t, limits, value_pool, draw_memos)
-        if isinstance(trace, str):
-            theory.stops[key], trace = trace, None
-        theory.outcomes[key] = trace
-    return trace
+    outcome = theory.outcomes.get(key, _UNSEEN)
+    if outcome is _UNSEEN:
+        outcome = theory.outcomes[key] = _search(theory, s, t, limits, value_pool, draw_memos)
+    return None if isinstance(outcome, str) else outcome
 
 
 _UNSEEN = object()  # no outcome kept for the key
@@ -869,8 +866,10 @@ def search_stop(theory: CETheory, s: Term, t: Term, limits: SearchLimits | None 
     of limits ran out, and "normal-forms" when the theory is orthogonal and
     terminating and the endpoints' normal forms differ, so that no trace
     exists at any bound.  None otherwise, also for a search not run yet.
-    It reads the theory's memo of outcomes, without searching."""
-    return theory.stops.get(_outcome_key(s, t, limits or SearchLimits(), value_pool))
+    It reads the search's entry in the theory's memo of outcomes, without
+    searching."""
+    stop = theory.outcomes.get(_outcome_key(s, t, limits or SearchLimits(), value_pool))
+    return stop if isinstance(stop, str) else None
 
 
 def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,

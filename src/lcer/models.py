@@ -107,31 +107,25 @@ class UnderlyingModel:
         self.symbols = {f.name: f for f in symbols}
         self.interp = interp
         self.carriers = carriers
-        self._value_cache: dict[tuple[str, type, object], FunSymbol] = {}
-        self._value_terms: dict[tuple[str, type, object], App] = {}  # one per symbol
+        self._value_terms: dict[tuple[str, type, object], App] = {}
         for s in sorts:
             if carriers[s].finite:
                 for e in carriers[s].elements:  # type: ignore[union-attr]
-                    self.value_symbol(s, e)
+                    self.value_term(s, e)
 
     # -- values ------------------------------------------------------------
 
     def value_symbol(self, sort: Sort, element: object) -> FunSymbol:
-        key = (sort.name, type(element), element)
-        sym = self._value_cache.get(key)
-        if sym is None:
-            if not self.element_in_carrier(sort, element):
-                raise EvalError(f"{element!r} is not in the carrier of {sort.name}")
-            sym = FunSymbol(self.value_name(element), (), sort, THEORY,
-                            is_value=True, value=element)
-            self._value_cache[key] = sym
-        return sym
+        return self.value_term(sort, element).fun
 
     def value_term(self, sort: Sort, element: object) -> App:
         key = (sort.name, type(element), element)
         term = self._value_terms.get(key)
         if term is None:
-            term = self._value_terms[key] = App(self.value_symbol(sort, element))
+            if not self.element_in_carrier(sort, element):
+                raise EvalError(f"{element!r} is not in the carrier of {sort.name}")
+            term = self._value_terms[key] = App(FunSymbol(
+                self.value_name(element), (), sort, THEORY, is_value=True, value=element))
         return term
 
     def value_subst(self, order: list[Variable], values: tuple) -> dict[Variable, Term]:

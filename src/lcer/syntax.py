@@ -71,7 +71,7 @@ class TermReader:
             raise TheoryError("unknown-sort", f"unknown sort {name}", node.line, node.col)
         return s
 
-    def _value_atom(self, text: str, expected: Optional[Sort], node: Node) -> Optional[Term]:
+    def _value_atom(self, text: str, node: Node) -> Optional[Term]:
         model = self.model
         if not reads_as_value(text):
             return None
@@ -90,8 +90,7 @@ class TermReader:
                               node.line, node.col)
         return model.value_term(int_sort, val)
 
-    def _symbol(self, name: str, nargs: int, arg0_sort: Optional[Sort],
-                node: Node) -> Optional[FunSymbol]:
+    def _symbol(self, name: str, nargs: int, arg0_sort: Optional[Sort]) -> Optional[FunSymbol]:
         if name == "-" and nargs == 1:
             name = "neg"
         if name == "=":
@@ -103,7 +102,7 @@ class TermReader:
 
     def parse(self, node: Node, expected: Optional[Sort] = None) -> Term:
         if isinstance(node, Atom):
-            val = self._value_atom(node.text, expected, node)
+            val = self._value_atom(node.text, node)
             if val is not None:
                 self._check_expected(val, expected, node)
                 return val
@@ -120,13 +119,13 @@ class TermReader:
         pre = None
         if h.text == "=":
             pre = self._parse_first_determined(args_nodes, node)
-            sym = self._symbol("=", 2, sort_of(pre[1]), node)
+            sym = self._symbol("=", 2, sort_of(pre[1]))
             if sym is None:
                 raise TheoryError("unknown-symbol",
                                   "cannot resolve '=' (no argument sort is known)",
                                   node.line, node.col)
         else:
-            sym = self._symbol(h.text, len(args_nodes), None, node)
+            sym = self._symbol(h.text, len(args_nodes), None)
             if sym is None:
                 raise TheoryError("unknown-symbol", f"unknown symbol {h.text}",
                                   node.line, node.col)

@@ -83,13 +83,13 @@ _set = object.__setattr__
 
 @dataclass(frozen=True, eq=False)
 class Variable:
-    __slots__ = ("name", "sort", "_hash", "_size", "_key")
+    __slots__ = ("name", "sort", "_hash", "size", "_key")
     name: str
     sort: Sort
 
     def __post_init__(self) -> None:
         _set(self, "_hash", hash(("v", self.name, self.sort.name)))
-        _set(self, "_size", 1)
+        _set(self, "size", 1)
         _set(self, "_key", f"{self.name}\t{self.sort.name}")  # see term_key
 
     def __eq__(self, other: object) -> bool:
@@ -106,10 +106,6 @@ class Variable:
     def __reduce__(self):
         return Variable, (self.name, self.sort)
 
-    @property
-    def size(self) -> int:
-        return 1
-
     def __repr__(self) -> str:
         return self.name
 
@@ -121,7 +117,7 @@ class App:
     `__post_init__`, which fills the cached fields (`_key` is term_key, filled
     on first use)."""
 
-    __slots__ = ("fun", "args", "_hash", "_size", "_key")
+    __slots__ = ("fun", "args", "_hash", "size", "_key")
     fun: FunSymbol
     args: tuple["Term", ...]
 
@@ -142,9 +138,9 @@ class App:
         fun, args = self.fun, self.args
         size = 1
         for a in args:
-            size += a._size
+            size += a.size
         _set(self, "_hash", hash(("a", fun.name, fun.result_sort.name, args)))
-        _set(self, "_size", size)
+        _set(self, "size", size)
         _set(self, "_key", None)
 
     def __eq__(self, other: object) -> bool:
@@ -172,10 +168,6 @@ class App:
 
     def __reduce__(self):
         return App, (self.fun, self.args)
-
-    @property
-    def size(self) -> int:
-        return self._size  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:
         if not self.args:
@@ -415,7 +407,7 @@ class Hole:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash(("h", self.index, self.sort.name)))
-        object.__setattr__(self, "_size", 1)
+        object.__setattr__(self, "size", 1)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -426,10 +418,6 @@ class Hole:
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
-
-    @property
-    def size(self) -> int:
-        return 1
 
     def __repr__(self) -> str:
         return f"□{self.index}"

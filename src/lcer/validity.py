@@ -39,7 +39,7 @@ gets a memo of its own.  Only exact draws are shared, so traces and verdicts
 are those of searches with memos of their own.
 
 Outcomes outlive a call: the theory's memo (`equations.CETheory`) answers a
-sampled search that an earlier call or sample already ran, and
+sampled search that an earlier call, sample or step (1) already ran, and
 `proof_search` records there a run that ended without a verdict, so
 `prove_heuristic` after a `check_ce_validity` that found no proof does not
 run steps (1) and (2) again.  The memos of draws are no part of its keys,
@@ -359,19 +359,17 @@ def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
         return status
 
     # (3) sampling: evidence only; the searches share memos of draws by draw
-    # context, dropped on return
+    # context, dropped on return.  A closed goal's one, empty, sample is the
+    # search of step (1), so the theory's memo of outcomes answers it, and
+    # search_stop reads why that search stopped
     limits = budgets.search_limits()
-    closed = ce.closed  # the one, empty, sample is the goal step (1) searched in vain
     draw_memos: DrawMemos = {}
     count = 0
     for sigma in itertools.islice(enumerate_satisfying(model, ce.logical_vars, ce.constraint,
                                                        box=budgets.box), budgets.max_samples):
         count += 1
-        if closed:
-            lhs, rhs, trace = ce.lhs, ce.rhs, None
-        else:
-            lhs, rhs = apply_subst(sigma, ce.lhs), apply_subst(sigma, ce.rhs)
-            trace = conversion_search(theory, lhs, rhs, limits, draw_memos=draw_memos)
+        lhs, rhs = apply_subst(sigma, ce.lhs), apply_subst(sigma, ce.rhs)
+        trace = conversion_search(theory, lhs, rhs, limits, draw_memos=draw_memos)
         if trace is None:
             if search_stop(theory, lhs, rhs, limits) == "max_nodes":
                 return ValidityStatus(

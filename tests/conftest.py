@@ -24,6 +24,27 @@ def fresh_copy(theory: CETheory) -> CETheory:
     return CETheory(theory.signature, theory.model, theory.equations)
 
 
+def recorded_searches(monkeypatch) -> list:
+    """Make validity.conversion_search record each search it makes, and
+    return the list of (s, t, trace) it appends them to.  A search is a call
+    that misses the theory's memo of outcomes, so that the memo grows; a hit
+    answers without searching and is not recorded."""
+    from lcer import validity
+
+    search = validity.conversion_search
+    searches = []
+
+    def recording(theory, s, t, *args, **kwargs):
+        size = len(theory.outcomes)
+        trace = search(theory, s, t, *args, **kwargs)
+        if len(theory.outcomes) > size:
+            searches.append((s, t, trace))
+        return trace
+
+    monkeypatch.setattr(validity, "conversion_search", recording)
+    return searches
+
+
 @pytest.fixture(scope="session")
 def mod12():
     return load_theory("mod12.th")

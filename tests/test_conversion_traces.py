@@ -10,18 +10,19 @@ import random
 
 import pytest
 
-from lcer import validity
 from lcer.equations import SearchLimits, conversion_search
 from lcer.syntax import parse_goal_spec, term_text
 from lcer.validity import ValidityBudgets, check_ce_validity
 
+from tests.conftest import fresh_copy, recorded_searches
 from tests.genrandom import finite_theory, random_equation
 
 # sha256 of each _digest() below, recorded before the search frontier was
-# made one heap
+# made one heap; CORPUS_DIGEST re-recorded, over its 107 searches, when a
+# call that the memo of outcomes answers stopped counting as a search
 CLOSED_DIGEST = "b3910fa9a4348ed5f12621d6c926616abe3a8dd2e0c99524f86be28066bde777"
 ABSMAX_DIGEST = "d5c475be720ff16396b1a319c0413b8a90864f133927b1062090e99b9f55a6d6"
-CORPUS_DIGEST = "0a16874317623b564df28819fa20ac47e4d0b1213f517697ba878329bc457bae"
+CORPUS_DIGEST = "697eaeaf1650ee7d84773f73ceae4e29e25160c1be844ed92f7a5145a063f027"
 
 LISTS_GOALS = [
     ("length(cons(a, cons(b, nil)))", "2", 5),
@@ -53,18 +54,11 @@ def _digest(texts) -> str:
 
 
 def _recorded(monkeypatch, checks):
-    """The text of every search validity makes while checks() runs."""
-    search = validity.conversion_search
-    texts = []
-
-    def recording(theory, s, t, *args, **kwargs):
-        trace = search(theory, s, t, *args, **kwargs)
-        texts.append(_trace_text(s, t, trace))
-        return trace
-
-    monkeypatch.setattr(validity, "conversion_search", recording)
+    """The text of every search validity makes while checks() runs; a call
+    that the memo of outcomes answers is no search (conftest)."""
+    searches = recorded_searches(monkeypatch)
     checks()
-    return texts
+    return [_trace_text(s, t, trace) for s, t, trace in searches]
 
 
 @pytest.mark.slow
@@ -83,9 +77,11 @@ def test_closed_fixture_traces_are_pinned(group, mod12, lists):
 
 
 def test_sampled_absmax_traces_are_pinned(absmax, monkeypatch):
+    # an empty memo: the session fixture's may hold these searches already
+    theory = fresh_copy(absmax.theory)
     budgets = ValidityBudgets(bound=8, box=5)
     texts = _recorded(monkeypatch, lambda: [
-        check_ce_validity(absmax.theory, absmax.goals[name], budgets)
+        check_ce_validity(theory, absmax.goals[name], budgets)
         for name in ("maxcomm", "absneg", "absmax")])
     assert len(texts) == 121 + 11 + 36
     assert _digest(texts) == ABSMAX_DIGEST

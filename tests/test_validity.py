@@ -111,20 +111,12 @@ def test_validity_ground_conversion(mod12):
 def test_closed_goal_is_searched_once(monkeypatch):
     """A closed goal with constraint true has one, empty, sample: the goal
     itself, which step (1) has already searched."""
-    import lcer.validity
-    from tests.conftest import load_theory
+    from tests.conftest import load_theory, recorded_searches
 
     tf = load_theory("refute_bool.th")
-    calls = []
-    search = lcer.validity.conversion_search
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(lcer.validity, "conversion_search", counting)
+    searches = recorded_searches(monkeypatch)
     st = check_ce_validity(tf.theory, tf.goals["gf"])
-    assert len(calls) == 1
+    assert len(searches) == 1
     assert st == ValidityStatus(
         "no-conversion-within-bound", failing_sample={},
         detail="bounded search found no conversion for this instance; "

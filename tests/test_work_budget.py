@@ -3,9 +3,10 @@
 max_nodes caps the nodes a search pushes onto its frontier, counted before
 each expansion.  A search that it stops finds nothing, and `search_stop`
 says that the budget ran out, also on a hit of the theory's memo of
-outcomes; it says "normal-forms" when an orthogonal theory's normal forms
-differ.  `validate` then answers unknown and `convert` names the budget,
-where both used to say "no conversion within bound".
+outcomes, where the search's entry keeps it; it says "normal-forms" when an
+orthogonal theory's normal forms differ.  `validate` then answers unknown
+and `convert` names the budget, where both used to say "no conversion
+within bound".
 """
 
 import heapq
@@ -19,12 +20,13 @@ from functools import partial
 import pytest
 
 import lcer.cli
+from lcer import validity
 from lcer.cli import main
 from lcer.equations import SearchLimits, conversion_search, search_stop
 from lcer.syntax import parse_goal_spec
 from lcer.validity import ValidityBudgets, check_ce_validity
 
-from tests.conftest import FIXTURES, fresh_copy, load_theory
+from tests.conftest import FIXTURES, fresh_copy, load_theory, recorded_searches
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
@@ -91,6 +93,32 @@ def test_validate_answers_unknown_when_a_budget_runs_out(absmax):
     status = check_ce_validity(fresh_copy(absmax.theory), absmax.goals["absmax"],
                                ValidityBudgets(bound=2))
     assert (status.kind, status.budget) == ("no-conversion-within-bound", None)
+
+
+def test_a_closed_goal_names_the_budget_from_the_memo(group, monkeypatch):
+    # a closed goal's one, empty, sample is the goal that step (1) searched:
+    # the memo of outcomes answers it and keeps why that search stopped
+    theory = fresh_copy(group.theory)
+    goal = group.goals["expinv"]
+    budgets = ValidityBudgets(bound=12, limits=SearchLimits(max_nodes=100))
+    searches = recorded_searches(monkeypatch)
+    recording = validity.conversion_search
+    returned = []
+
+    def returning(*args, **kwargs):
+        returned.append(recording(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(validity, "conversion_search", returning)
+    for _ in range(2):  # the second call searches nothing
+        status = check_ce_validity(theory, goal, budgets)
+        assert (status.kind, status.budget, status.failing_sample) == \
+            ("unknown", "max_nodes", {})
+        assert "max_nodes (100)" in status.detail
+        assert searches == [(goal.lhs, goal.rhs, None)]
+    # step (1)'s miss, then the samples' two hits: None each time, not the stop
+    assert returned == [None, None, None]
+    assert search_stop(theory, goal.lhs, goal.rhs, budgets.search_limits()) == "max_nodes"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
