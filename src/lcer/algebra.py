@@ -65,9 +65,6 @@ class FiniteCEAlgebra:
         self._underlying = {sort: {(type(e), e): self.is_underlying(sort, e) for e in elems}
                             for sort, elems in self.carriers.items()}
 
-    def model(self) -> UnderlyingModel:
-        return self.theory.model
-
     def is_underlying(self, sort: Sort, elem: object) -> bool:
         return sort.kind == THEORY and self.theory.model.element_in_carrier(sort, elem)
 
@@ -364,8 +361,11 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
     def rep(sort: Sort, e: object) -> object:
         return reps[sort][e]
 
-    symbols = [*alg.theory.signature.term_symbols(), *alg.theory.model.symbols.values()]
-    for f in symbols:
+    # a tuple over the new carriers is its own first related tuple, as each
+    # representative is the first of its block: so by_rep's keys are those
+    # tuples, in product order, each with its result
+    new_tables: dict[str, dict[tuple, object]] = {}
+    for f in [*alg.theory.signature.term_symbols(), *alg.theory.model.symbols.values()]:
         by_rep: dict[tuple, tuple] = {}
         for combo in itertools.product(*(alg.carriers[s] for s in f.arg_sorts)):
             combo_rep = tuple(rep(s, e) for s, e in zip(f.arg_sorts, combo))
@@ -377,19 +377,14 @@ def quotient(alg: FiniteCEAlgebra, cong: FiniteCongruence) -> FiniteCEAlgebra:
                 raise NotACongruence(
                     f"{f.name} is not compatible: {_elements_text(prev[1])} and "
                     f"{_elements_text(combo)} are related but give unrelated results")
+        table = {combo: r for combo, (r, _) in by_rep.items() if not alg.model_decides(f, combo)}
+        if table:
+            new_tables[f.name] = table
 
     new_carriers = {
         sort: tuple(dict.fromkeys(rep(sort, e) for e in elems))
         for sort, elems in alg.carriers.items()
     }
-    new_tables: dict[str, dict[tuple, object]] = {}
-    for f in symbols:
-        table: dict[tuple, object] = {}
-        for combo in itertools.product(*(new_carriers[s] for s in f.arg_sorts)):
-            if not alg.model_decides(f, combo):
-                table[combo] = rep(f.result_sort, alg.apply(f, combo))
-        if table:
-            new_tables[f.name] = table
     out = FiniteCEAlgebra(alg.theory, new_carriers, new_tables)
     out.validate()
     return out

@@ -26,7 +26,6 @@ from .equations import (
     conversion_search,
     reachable_terms,
     replay_trace,
-    rule_step_candidates,
     search_stop,
 )
 from .models import UnderlyingModel
@@ -191,23 +190,11 @@ def cmd_rewrite(args):
     tf = _load(args)
     t = parse_term(tf.theory, args.term)
     nf = tf.theory.model.calc_normalize(t)
-    pool = _pool_from_args(tf, args)
-    if args.steps == 1:
-        cands = rule_step_candidates(tf.theory, nf, value_pool=pool)
-        succ = []
-        seen = set()
-        for c in cands[: args.limit]:
-            text = term_text(tf.theory.model.calc_normalize(c.result))
-            if text not in seen:
-                seen.add(text)
-                succ.append(text)
-    else:
-        reached = reachable_terms(tf.theory, nf, args.steps, width=args.limit,
-                                  value_pool=pool)
-        succ = [f"{term_text(u)}  [{len(tr)} steps]"
-                for u, tr in sorted(reached.items(),
-                                    key=lambda kv: (len(kv[1]), term_text(kv[0])))
-                if u != nf]
+    reached = reachable_terms(tf.theory, nf, args.steps, width=args.limit,
+                              value_pool=_pool_from_args(tf, args))
+    succ = [f"{term_text(u)}  [{len(tr)} steps]"
+            for u, tr in sorted(reached.items(), key=lambda kv: (len(kv[1]), term_text(kv[0])))
+            if u != nf]
     lines = [f"calc normal form: {term_text(nf)}",
              f"successors within {args.steps} step(s):"]
     lines += [f"  {s}" for s in succ] or ["  (none)"]

@@ -422,18 +422,15 @@ class Draw:
     every draw made into it until its owner drops it, so a draw holds its
     bindings as a tuple, not a dict.
 
-    macro_edges caches what it reads of every candidate of a draw, as it
-    depends on the draw and its redex alone: `plain`, whether the side is
-    plain and `replacement` no value, so that an edge of the draw needs no
-    calculation when its bindings are calc-normal, with `delta`, the size
-    of `replacement` less the redex's, both set by the draw's first
-    candidate; and `back`, whether `replacement` is the redex itself, set
-    by the first candidate within a size cap.  `plain` and `delta` read the
-    bindings without building `replacement`, so a draw that the size cap
-    drops wherever it is read never builds it.  Each is None until set.
+    `plain` says whether the side is plain and `replacement` no value (a
+    bare-variable destination is the value it is bound to), so that an edge
+    of the draw needs no calculation when its bindings are calc-normal; it
+    reads the bindings without building `replacement`.  `back`, whether
+    `replacement` is the redex itself, is set by macro_edges at the draw's
+    first candidate within a size cap, and is None until then.
     """
 
-    __slots__ = ("side", "values", "size", "_replacement", "_normal", "plain", "delta", "back")
+    __slots__ = ("side", "values", "size", "_replacement", "_normal", "plain", "back")
 
     def __init__(self, side: _Side, values: tuple[Term, ...]) -> None:
         self.side = side
@@ -442,10 +439,10 @@ class Draw:
         for i, n in side.occurrences:
             size += n * (values[i].size - 1)
         self.size = size
+        bound = values[side.occurrences[0][0]] if isinstance(side.dst, Variable) else None
+        self.plain = side.plain and not (isinstance(bound, App) and bound.fun.is_value)
         self._replacement: Optional[Term] = None
         self._normal: Optional[tuple[Term, list[tuple[Position, Term, Term]]]] = None
-        self.plain: Optional[bool] = None  # set by macro_edges, with delta
-        self.delta: Optional[int] = None
         self.back: Optional[bool] = None
 
     @property
@@ -698,25 +695,18 @@ def macro_edges(
     does not come from term variables; pool_normal says whether those do.
     When the instantiated side of a candidate is calc-normal and not a value
     (its draw is `plain` and, unless pool_normal, draws no term variables),
-    so is the target: the draw's `delta` decides the size cap before
-    anything is built, and its `back` whether the edge returns to u.  These
-    are cached on the draw (see Draw).  pool_normal is read per call, never
-    kept in a draw: expanders with different term pools may share one memo
-    of draws.  Otherwise only the rewritten spine is normalized (see
-    _normalize_spine).
+    so is the target: the draw's size decides the size cap before anything
+    is built, and its `back` whether the edge returns to u (see Draw).
+    pool_normal is read per call, never kept in a draw: expanders with
+    different term pools may share one memo of draws.  Otherwise only the
+    rewritten spine is normalized (see _normalize_spine).
     """
     u_size = u.size
     for cand in cands:
         draw = cand.draw
         side = draw.side
-        plain = draw.plain
-        if plain is None:  # a bare variable destination is the value it is bound to
-            plain = draw.plain = side.plain and not (
-                isinstance(side.dst, Variable)
-                and model.is_value_term(draw.values[side.occurrences[0][0]]))
-            draw.delta = draw.size - cand.redex.size
-        if plain and (pool_normal or not side.term_extras):
-            size = u_size + draw.delta
+        if draw.plain and (pool_normal or not side.term_extras):
+            size = u_size + draw.size - cand.redex.size
             if size_cap is not None and size > size_cap:
                 continue  # dropped before anything is built
             back = draw.back

@@ -18,7 +18,7 @@ from typing import Optional
 from .models import UnderlyingModel
 from .oracle import OracleFailure, Verdict, unknown, valid
 from .sexpr import Atom, SList, parse_sexprs
-from .terms import Term, Variable, apply_subst, vars_of
+from .terms import Term, Variable, apply_subst, reads_as_value, vars_of
 
 _OPS = {
     "+": "+", "-": "-", "*": "*", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
@@ -187,11 +187,9 @@ class SmtSolverSession:
                         visit(x)
 
         def _body_value(node):
-            if isinstance(node, Atom):
-                if node.text == "true":
-                    return True
-                if node.text == "false":
-                    return False
+            if isinstance(node, Atom) and reads_as_value(node.text):
+                if node.text in ("true", "false"):
+                    return node.text == "true"
                 return int(node.text)
             if isinstance(node, SList) and len(node.items) == 2 \
                     and isinstance(node.items[0], Atom) and node.items[0].text == "-":

@@ -282,7 +282,7 @@ def parse_theory(text: str) -> TheoryFile:
         raise ParseError("expected a single (theory ...) form", 1, 1)
     root = expect_list(nodes[0], "(theory ...)")
     model: Optional[UnderlyingModel] = None
-    sorts: list[Sort] = []
+    sort_atoms = []
     funs: list[tuple] = []
     eq_nodes = []
     goal_nodes = []
@@ -311,8 +311,7 @@ def parse_theory(text: str) -> TheoryFile:
                 raise ParseError(f"too many arguments for model {mname}",
                                  extra[0].line, extra[0].col)
         elif h in ("sorts", "sort"):
-            for item in node.items[1:]:
-                sorts.append(Sort(expect_atom(item, "a sort name").text, TERM))
+            sort_atoms += [expect_atom(item, "a sort name") for item in node.items[1:]]
         elif h == "fun":
             funs.append(node)
         elif h == "eq":
@@ -322,9 +321,16 @@ def parse_theory(text: str) -> TheoryFile:
     if model is None:
         raise ParseError("theory file must declare a model", root.line, root.col)
 
-    all_sorts = list(model.sorts.values()) + sorts
-    by_name = {s.name: s for s in all_sorts}
-    symbols: list[FunSymbol] = []
+    by_name = dict(model.sorts)
+    for atom in sort_atoms:
+        if atom.text in model.sorts:
+            raise TheoryError("parse-error", f"sort {atom.text} collides with a model sort",
+                              atom.line, atom.col)
+        if atom.text in by_name:
+            raise TheoryError("parse-error", f"duplicate sort {atom.text}", atom.line, atom.col)
+        by_name[atom.text] = Sort(atom.text, TERM)
+    all_sorts = list(by_name.values())
+    symbols: dict[str, FunSymbol] = {}
     for node in funs:
         if len(node.items) != 4:
             raise ParseError("expected (fun NAME (ARG...) RESULT)", node.line, node.col)
@@ -336,6 +342,8 @@ def parse_theory(text: str) -> TheoryFile:
         if fname in model.symbols or model.sorts.get(fname):
             raise TheoryError("parse-error", f"{fname} collides with a model symbol",
                               node.line, node.col)
+        if fname in symbols:
+            raise TheoryError("parse-error", f"duplicate symbol {fname}", node.line, node.col)
         arg_list = expect_list(node.items[2], "argument sorts")
         arg_sorts = []
         for an in arg_list.items:
@@ -347,10 +355,10 @@ def parse_theory(text: str) -> TheoryFile:
         if rn not in by_name:
             raise TheoryError("unknown-sort", f"unknown sort {rn}",
                               node.items[3].line, node.items[3].col)
-        symbols.append(FunSymbol(fname, tuple(arg_sorts), by_name[rn], TERM))
+        symbols[fname] = FunSymbol(fname, tuple(arg_sorts), by_name[rn], TERM)
 
     signature = Signature(tuple(all_sorts),
-                          tuple(model.symbols.values()) + tuple(symbols))
+                          tuple(model.symbols.values()) + tuple(symbols.values()))
     theory = CETheory(signature, model, ())
     equations = []
     for node in eq_nodes:

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from lcer.cli import main
-from tests.conftest import FIXTURES
+from lcer.equations import reachable_terms
+from lcer.syntax import parse_term, term_text
+from tests.conftest import FIXTURES, load_theory
 
 
 def fx(name):
@@ -177,7 +179,34 @@ def test_rewrite(capsys):
     code, doc = run_json(capsys, "rewrite", fx("mod12.th"), "-t", "cong(+(7,31))",
                          "--pool", "0,1,2,14")
     assert code == 0 and doc["normal_form"] == "(cong 38)"
-    assert "(cong 14)" in doc["successors"]
+    assert "(cong 14)  [1 steps]" in doc["successors"]
+
+
+def test_rewrite_does_not_list_the_start_term(capsys):
+    # the default pool draws y = 38 for cong(x) -> cong(y) at x = 38: a step
+    # back to the start, which is no successor
+    code, doc = run_json(capsys, "rewrite", fx("mod12.th"), "-t", "cong(+(7,31))")
+    assert code == 0 and "(cong 14)  [1 steps]" in doc["successors"]
+    assert not any(s.startswith("(cong 38)") for s in doc["successors"])
+
+
+def test_rewrite_one_step_lists_the_first_level_of_two_steps(capsys):
+    # for every side of a fixture goal: the entries of --steps 2 whose trace
+    # holds one rule step, in their order
+    listed = 0
+    for name in sorted(n for n in os.listdir(FIXTURES) if n.endswith(".th")):
+        tf = load_theory(name)
+        for text in sorted({term_text(side) for ce in tf.goals.values()
+                            for side in (ce.lhs, ce.rhs)}):
+            _, one = run_json(capsys, "rewrite", fx(name), "-t", text)
+            _, two = run_json(capsys, "rewrite", fx(name), "-t", text, "--steps", "2")
+            start = tf.theory.model.calc_normalize(parse_term(tf.theory, text))
+            first = {f"{term_text(u)}  [{len(trace)} steps]"
+                     for u, trace in reachable_terms(tf.theory, start, 2, width=50).items()
+                     if sum(step.kind == "rule" for step in trace) == 1}
+            assert one["successors"] == [s for s in two["successors"] if s in first], (name, text)
+            listed += len(one["successors"])
+    assert listed > 20
 
 
 def test_deep_term_is_an_input_error(capsys, tmp_path):

@@ -3,6 +3,7 @@ import textwrap
 
 import pytest
 
+from lcer.cli import main
 from lcer.models import lia_model
 from lcer.oracle import OracleBudget, OracleFailure, check_validity
 from lcer.smt import SmtSolverSession, to_smt
@@ -99,6 +100,22 @@ def test_garbage_is_oracle_failure(tmp_path):
     with pytest.raises(OracleFailure, match="unexpected solver answer"):
         session.check_validity(LIA, op(">=", op("*", x, x), c(0)))
     session.close()
+
+
+def test_a_non_integer_model_value_is_oracle_failure(tmp_path, capsys):
+    # box refutation cannot decide x * x >= 0, so the query reaches the solver
+    solver = fake_solver(tmp_path, SAT_WITH_MODEL.replace("(- 5)", "1.5"))
+    session = SmtSolverSession(solver)
+    x = v("x")
+    with pytest.raises(OracleFailure, match="unparseable value"):
+        check_validity(LIA, op(">=", op("*", x, x), c(0)), OracleBudget(solver=session))
+    session.close()
+    theory = tmp_path / "square.th"
+    theory.write_text("(theory (model lia) (sorts U) (fun f (Int) U)"
+                      " (eq (pi x) (constraint (>= (* x x) 0)) (f x) (f 0))"
+                      " (goal g (pi x) (constraint true) (f x) (f 0)))")
+    assert main(["validate", str(theory), "-g", "g", "--solver", solver]) == 4
+    assert capsys.readouterr().out.startswith("oracle failure: ")
 
 
 def test_missing_binary_is_oracle_failure():
