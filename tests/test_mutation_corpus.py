@@ -18,9 +18,9 @@ from tests.conftest import FIXTURES, load_theory
 SEED = 2025
 MUTANTS_PER_FILE = 20
 
-# the files a theory's `check` and `model-check` runs read
-COMPANIONS = {"group.th": ["expinv.prf"], "lists.th": ["nth2.prf"],
-              "splitabst.th": ["splitabst.prf"], "refute_bool.th": ["boolcm.alg"]}
+# the file a theory's `check` or `model-check` run reads
+COMPANIONS = {"group.th": "expinv.prf", "lists.th": "nth2.prf",
+              "splitabst.th": "splitabst.prf", "refute_bool.th": "boolcm.alg"}
 
 # duplicate declarations, each an input error
 FIXED = {
@@ -74,7 +74,13 @@ def mutate(rng, toks):
     return " ".join(toks)
 
 
-def commands(theory, goal, term, companions):
+def companion_run(theory, goal, companion):
+    if companion.endswith(".prf"):
+        return ["check", theory, "-p", companion]
+    return ["model-check", theory, "-a", companion, *([] if goal is None else ["-g", goal])]
+
+
+def commands(theory, goal, term, companion):
     """Every subcommand that reads theory, with small bounds."""
     yield ["parse", theory]
     yield ["rewrite", theory, "-t", term, "--steps", "2", "--limit", "20"]
@@ -85,42 +91,37 @@ def commands(theory, goal, term, companions):
         yield ["validate", theory, *g, "--bound", "3", "--box", "2", "--rewrite-depth", "1"]
         yield ["prove", theory, *g, "--bound", "3", "--box", "2", "--rewrite-depth", "1"]
         yield ["refute", theory, *g]
-    for name in companions:
-        if name.endswith(".prf"):
-            yield ["check", theory, "-p", name]
-        else:
-            yield ["model-check", theory, "-a", name, *([] if goal is None else ["-g", goal])]
+    if companion is not None:
+        yield companion_run(theory, goal, companion)
 
 
 def corpus(tmp_path):
-    """(argv, where) for the fixed cases and each mutant, with paths under tmp_path."""
+    """(argv, file) for the fixed cases and each mutant, with paths under tmp_path."""
     rng = random.Random(SEED)
     for name, text in FIXED.items():
         path = tmp_path / name
         path.write_text(text)
-        for argv in commands(str(path), None, "x", []):
+        for argv in commands(str(path), None, "x", None):
             yield argv, name
     for name in sorted(n for n in os.listdir(FIXTURES) if n.endswith(".th")):
         tf = load_theory(name)
         goal = next(iter(tf.goals), None)
         sides = [ce.lhs for ce in tf.goals.values()] + [ce.lhs for ce in tf.theory.equations]
         term = term_text(sides[0])
-        companions = [os.path.join(FIXTURES, c) for c in COMPANIONS.get(name, [])]
-        files = [name] + COMPANIONS.get(name, [])
-        for mutated in files:
+        companion = COMPANIONS.get(name)
+        for mutated in filter(None, (name, companion)):
             with open(os.path.join(FIXTURES, mutated), encoding="utf-8") as fh:
                 toks = tokens(fh.read())
             for k in range(MUTANTS_PER_FILE):
                 path = tmp_path / f"{k}_{mutated}"
                 path.write_text(mutate(rng, toks))
                 if mutated == name:
-                    theory, others = str(path), companions
+                    runs = commands(str(path), goal, term,
+                                    companion and os.path.join(FIXTURES, companion))
                 else:
-                    theory = os.path.join(FIXTURES, name)
-                    others = [str(path) if c.endswith(mutated) else c for c in companions]
-                for argv in commands(theory, goal, term, others):
-                    if mutated == name or argv[0] in ("check", "model-check"):
-                        yield argv, f"{k}_{mutated}"
+                    runs = [companion_run(os.path.join(FIXTURES, name), goal, str(path))]
+                for argv in runs:
+                    yield argv, path.name
 
 
 def test_no_mutant_ends_outside_exit_codes_0_to_3(capsys, tmp_path):
