@@ -31,7 +31,7 @@ from .equations import (
 from .models import UnderlyingModel
 from .oracle import OracleBudget, OracleFailure
 from .proofs import check_proof, prove_heuristic
-from .sexpr import ParseError
+from .sexpr import ParseError, long_literal
 from .smt import SmtSolverSession
 from .syntax import (
     TheoryError,
@@ -96,13 +96,17 @@ def _trace_lines(trace) -> list[str]:
     return lines
 
 
+class InputError(Exception):
+    """A file named on the command line that cannot be read or written."""
+
+
 def _read(path: str) -> str:
     """A file named on the command line: one that cannot be read is an input error."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
-        raise ValueError(str(e)) from None
+        raise InputError(str(e)) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -111,7 +115,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        raise ValueError(str(e)) from None
+        raise InputError(str(e)) from None
 
 
 def _load(args):
@@ -158,7 +162,7 @@ def _pool_from_args(tf, args):
         model = tf.theory.model
         items = [x.strip() for x in args.pool.split(",")]
         for x in items:
-            if not reads_as_value(x) or x in ("true", "false"):
+            if not reads_as_value(x) or x in ("true", "false") or long_literal(x):
                 raise TheoryError("parse-error", f"--pool item {x!r} is not an integer")
         elems = tuple(map(int, items))
         int_sort = model.int_sort()
@@ -502,7 +506,7 @@ def main(argv=None) -> int:
     args = build_parser(_asks_json(argv)).parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
-    except (ParseError, TheoryError, AlgebraError, ValueError) as e:
+    except (ParseError, TheoryError, AlgebraError, InputError) as e:
         code, payload, lines = EXIT_INPUT, {"verdict": "input-error",
                                             "detail": str(e)}, [f"error: {e}"]
     except RecursionError:

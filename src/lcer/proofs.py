@@ -8,12 +8,13 @@ surfaced as its own verdict rather than being treated as pass or fail.
 
 `Derivation` and `RULES` are `validity`'s, re-exported.  Proofs are built by
 `generate_calc_proof`, for goals whose sides differ only in theory subterms
-the constraint proves equal, and by `prove_heuristic`.  The rewriting stage
-of the latter is validate's own: it takes the proof verdicts of
-`validity.proof_search` in order, simulates a conversion trace step by step,
-or joins a trivial gap's derivation to the simulated gap traces.  Both close
-a gap with the one Refl/Axiom/Cong closure, `validity.close_trivial`, and
-every derivation they return is re-checked.
+the constraint proves equal, and by `prove_heuristic`, which tries it first
+and then returns the derivation of validate's own verdict (`derivation_of`):
+a conversion trace is simulated step by step, a trivial gap's derivation is
+joined to the simulated gap traces, and samples that are every instance
+become a case analysis, Abst per instance joined by Split.  Both close a gap
+with the one Refl/Axiom/Cong closure, `validity.close_trivial`, and every
+derivation they return is re-checked.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .models import enumerate_satisfying  # noqa: F401  (the benchmark's tracer 
 from .oracle import OracleBudget, check_validity
 from .terms import (
     App,
-    Subst,
     Term,
     Variable,
     apply_subst,
@@ -42,7 +42,8 @@ from .terms import (
     vars_of,
 )
 from .validity import RULES  # noqa: F401  (re-exported with Derivation)
-from .validity import Derivation, ValidityBudgets, close_trivial, proof_search
+from .validity import Derivation, ValidityBudgets, ValidityStatus, cases_cover, close_trivial
+from .validity import proof_search, verdicts
 
 _ARITY = {
     "Refl": 0, "Rule": 0, "Axiom": 0,
@@ -297,11 +298,6 @@ def generate_calc_proof(theory: CETheory, ce: ConstrainedEquation,
 
 # -- heuristic proving ----------------------------------------------------------
 
-def _frozen(sigma: Subst) -> tuple[tuple[Variable, Term], ...]:
-    return tuple(sorted(((x, u) for x, u in sigma.items() if u != x),
-                        key=lambda kv: kv[0].name))
-
-
 def _simulate_step(theory: CETheory, whole_before: Term, step: TraceStep,
                    X: frozenset[Variable], phi: Term) -> Derivation:
     """A derivation of <X> before ~ after [phi] for one trace step.
@@ -319,32 +315,23 @@ def _simulate_step(theory: CETheory, whole_before: Term, step: TraceStep,
         eq = theory.equations[step.eq_index]  # type: ignore[index]
         sigma = dict(step.subst)
         rule = Derivation("Rule", eq)
-        inst = eq.subst(sigma)
-        tinst = Derivation("TheoryInstance",
-                           ConstrainedEquation(X, inst.lhs, inst.rhs, inst.constraint),
-                           witness=_frozen(sigma), premises=(rule,))
+        # the instance is over X: sigma maps eq's variables to terms over X
+        inst = ConstrainedEquation(X, *(apply_subst(sigma, u)
+                                        for u in (eq.lhs, eq.rhs, eq.constraint)))
+        tinst = Derivation("TheoryInstance", inst, witness=step.subst, premises=(rule,))
         node = Derivation("Weakening", ConstrainedEquation(X, inst.lhs, inst.rhs, phi),
                           premises=(tinst,))
     if step.direction != "lr":
         node = Derivation("Sym", ConstrainedEquation(X, before, after, phi), premises=(node,))
     # wrap outward along the position path
     for depth in range(len(step.position), 0, -1):
-        prefix = step.position[:depth - 1]
-        idx = step.position[depth - 1]
-        parent_before = subterm_at(whole_before, prefix)
-        assert isinstance(parent_before, App)
-        rhs_args = list(parent_before.args)
-        rhs_args[idx - 1] = node.conclusion.rhs
-        premises = []
-        for i, arg in enumerate(parent_before.args):
-            if i == idx - 1:
-                premises.append(node)
-            else:
-                premises.append(Derivation("Refl",
-                                           ConstrainedEquation(X, arg, arg, phi)))
-        node = Derivation("Cong", ConstrainedEquation(
-            X, parent_before, App(parent_before.fun, tuple(rhs_args)), phi),
-            premises=tuple(premises))
+        parent = subterm_at(whole_before, step.position[:depth - 1])
+        assert isinstance(parent, App)
+        i = step.position[depth - 1] - 1
+        premises = tuple(node if j == i else Derivation("Refl", ConstrainedEquation(X, a, a, phi))
+                         for j, a in enumerate(parent.args))
+        after = App(parent.fun, (*parent.args[:i], node.conclusion.rhs, *parent.args[i + 1:]))
+        node = Derivation("Cong", ConstrainedEquation(X, parent, after, phi), premises=premises)
     return node
 
 
@@ -370,92 +357,65 @@ def _chain(parts: list[Derivation], X: frozenset[Variable],
 
 
 def prove_heuristic(theory: CETheory, ce: ConstrainedEquation,
-                    budgets: ValidityBudgets | None = None,
-                    _depth: int = 0) -> Optional[Derivation]:
-    """Best-effort proof search; a returned derivation is always re-checked.
-
-    Incomplete by design: it combines the calculation-step generator, rewrite
-    simulation toward a trivial gap, and finite case splitting.
-    """
+                    budgets: ValidityBudgets | None = None) -> Optional[Derivation]:
+    """generate_calc_proof's derivation of ce, else the first derivation of
+    validate's own verdicts (`validity.verdicts`) that the checker accepts;
+    step (3)'s verdict is asked for only when its instances can be cases."""
     budgets = budgets or ValidityBudgets()
-
     try:
         return generate_calc_proof(theory, ce, budgets.oracle)
     except GenerationError:
         pass
-
-    d = _prove_by_rewriting(theory, ce, budgets)
-    if d is not None and check_proof(theory, d, budgets.oracle).accepted:
-        return d
-
-    if _depth < 2:
-        d = _prove_by_split(theory, ce, budgets, _depth)
+    statuses = verdicts if cases_cover(theory, ce) else proof_search
+    for status in statuses(theory, ce, budgets):
+        d = derivation_of(theory, ce, status)
         if d is not None and check_proof(theory, d, budgets.oracle).accepted:
             return d
     return None
 
 
-def _prove_by_rewriting(theory, ce, budgets) -> Optional[Derivation]:
-    """The first of check_ce_validity's proof verdicts for ce that becomes a
-    derivation: a conversion trace is simulated, and a trivial gap's
-    derivation is joined to the simulations of both gap traces."""
+def derivation_of(theory: CETheory, ce: ConstrainedEquation,
+                  status: ValidityStatus) -> Optional[Derivation]:
+    """The derivation, unchecked, of a validity verdict on ce, or None: a
+    conversion trace is simulated, a trivial gap's derivation is joined to the
+    simulations of both gap traces, and every instance makes a case."""
     X, phi = ce.logical_vars, ce.constraint
-    for status in proof_search(theory, ce, budgets):
-        if status.trace is not None:
-            d = simulate_trace(theory, ce.lhs, status.trace, X, phi)
-            return d or Derivation("Refl", ce)
-        if status.gap_proof is None:
-            continue  # a vacuous gap the closure does not close
+    if status.instances:
+        return _by_cases(theory, ce, status.instances)
+    if status.trace is not None:
+        parts = [simulate_trace(theory, ce.lhs, status.trace, X, phi)]
+    elif status.gap_proof is not None:  # None on a vacuous gap the closure leaves open
         ls, rs = status.gap  # type: ignore[misc]
         left, right = status.gap_traces  # type: ignore[misc]
-        gap = status.gap_proof if ls != rs else None
-        fwd = simulate_trace(theory, ce.lhs, left, X, phi)
-        bwd = simulate_trace(theory, rs, tuple(st.reversed_() for st in reversed(right)),
-                             X, phi)
-        parts = [p for p in (fwd, gap, bwd) if p is not None]
-        return _chain(parts, X, phi) or Derivation("Refl", ce)
-    return None
-
-
-def _prove_by_split(theory, ce, budgets, depth) -> Optional[Derivation]:
-    """Case split one finite-sorted logical variable and abstract each case."""
-    model = theory.model
-    X = ce.logical_vars
-    if not (vars_of(ce.lhs) | vars_of(ce.rhs)) <= X:
+        parts = [simulate_trace(theory, ce.lhs, left, X, phi),
+                 status.gap_proof if ls != rs else None,
+                 simulate_trace(theory, rs, tuple(st.reversed_() for st in reversed(right)),
+                                X, phi)]
+    else:
         return None
-    finite = sorted((x for x in X if model.carriers[x.sort].finite
-                     and x in (vars_of(ce.lhs) | vars_of(ce.rhs))),
-                    key=lambda v: v.name)
-    for x in finite:
-        elems = model.carrier_elements(x.sort)
-        if not 2 <= len(elems) <= 8:
-            continue
-        cases = []
-        ok = True
-        for e in elems:
-            val = model.value_term(x.sort, e)
-            case_phi = model.equality(x, val)
-            sigma = {x: val}
-            inner_goal = ConstrainedEquation(
-                X, apply_subst(sigma, ce.lhs), apply_subst(sigma, ce.rhs),
-                apply_subst(sigma, case_phi))
-            inner = prove_heuristic(theory, inner_goal, budgets, depth + 1)
-            if inner is None:
-                ok = False
-                break
-            abst = Derivation("Abst", ConstrainedEquation(X, ce.lhs, ce.rhs, case_phi),
-                              witness=_frozen(sigma), premises=(inner,))
-            cases.append(abst)
-        if not ok:
-            continue
-        node = cases[-1]
-        for c in reversed(cases[:-1]):
-            disj = App(model.symbols["or"],
-                       (c.conclusion.constraint, node.conclusion.constraint))
-            node = Derivation("Split", ConstrainedEquation(X, ce.lhs, ce.rhs, disj),
-                              premises=(c, node))
-        cover = model.implies(ce.constraint, node.conclusion.constraint)
-        if not check_validity(model, cover, budgets.oracle).is_valid:
-            continue
-        return Derivation("Weakening", ce, premises=(node,))
-    return None
+    return _chain([p for p in parts if p is not None], X, phi) or Derivation("Refl", ce)
+
+
+def _by_cases(theory: CETheory, ce: ConstrainedEquation, instances) -> Derivation:
+    """Weakening over Split over one Abst per instance sigma, whose case is
+    the conjunction of x = sigma(x) over X and whose premise simulates the
+    instance's trace; Weakening holds when the instances are every one."""
+    model, X = theory.model, ce.logical_vars
+    xs = sorted(X, key=lambda v: v.name)
+    cases = []
+    for sigma, trace in instances:
+        eqs = [model.equality(x, sigma[x]) for x in xs]
+        case = eqs[0] if eqs else ce.constraint
+        for e in eqs[1:]:
+            case = App(model.symbols["and"], (case, e))
+        start, inst_phi = apply_subst(sigma, ce.lhs), apply_subst(sigma, case)
+        inner = simulate_trace(theory, start, trace, X, inst_phi) \
+            or Derivation("Refl", ConstrainedEquation(X, start, start, inst_phi))
+        cases.append(Derivation("Abst", ConstrainedEquation(X, ce.lhs, ce.rhs, case),
+                                witness=tuple((x, sigma[x]) for x in xs), premises=(inner,)))
+    node = cases[-1]
+    for c in reversed(cases[:-1]):
+        disj = App(model.symbols["or"], (c.conclusion.constraint, node.conclusion.constraint))
+        node = Derivation("Split", ConstrainedEquation(X, ce.lhs, ce.rhs, disj),
+                          premises=(c, node))
+    return Derivation("Weakening", ce, premises=(node,))

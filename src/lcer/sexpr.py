@@ -6,6 +6,7 @@ reader accepts `f(a, b)` and plain atoms, for terms given on a command line.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -17,11 +18,21 @@ class ParseError(Exception):
         self.col = col
 
 
+def long_literal(text: str) -> bool:
+    """An integer literal with more digits than int() converts by default."""
+    digits = text.removeprefix("-")
+    return len(digits) > sys.int_info.default_max_str_digits and digits.isdigit()
+
+
 @dataclass(frozen=True)
 class Atom:
     text: str
     line: int
     col: int
+
+    def __post_init__(self) -> None:
+        if long_literal(self.text):  # no reader takes it, for a value or for a name
+            raise ParseError("integer literal has too many digits", self.line, self.col)
 
 
 @dataclass(frozen=True)

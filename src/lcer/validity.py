@@ -5,17 +5,18 @@ instantiation of its logical variables makes both sides syntactically equal.
 `close_trivial`, the Refl/Axiom/Cong closure, is the one place that decides
 it.  Validity checking tries, in order: direct conversion search (closed
 goals), rewriting both sides to a trivial gap (a proof), and exhaustive
-sampling of satisfying instances (evidence only, never a proof).
+sampling of satisfying instances (evidence, unless they are all of them).
 
 The two proof steps are `proof_search`, which yields every proof verdict in
-that order, each only when asked for: `check_ce_validity` takes the first,
-and `proofs.prove_heuristic` turns them into derivations until one closes,
-so validate and prove share one proving path.  Symbolic rewriting draws its
-own rule steps at each redex (`_symbolic_draws`) and plugs them into the
-searches' one loop over positions, `equations.position_candidates`, with one
-memo for both sides of a goal; it builds its edges with
-`equations.macro_edges` and its reachable sets with `equations.breadth_first`,
-as `reachable_terms` does.
+that order, each only when asked for; `verdicts` follows them with step
+(3)'s.  `check_ce_validity` takes the first verdict, and
+`proofs.prove_heuristic` turns them into derivations until the checker
+accepts one, so validate and prove share one proving path.  Symbolic
+rewriting draws its own rule steps at each redex (`_symbolic_draws`) and
+plugs them into the searches' one loop over positions,
+`equations.position_candidates`, with one memo for both sides of a goal; it
+builds its edges with `equations.macro_edges` and its reachable sets with
+`equations.breadth_first`, as `reachable_terms` does.
 
 Step (2) asks the oracle whether the constraint is unsatisfiable (`not phi`
 valid) once per goal.  If it is, every pair is vacuously trivial.  Otherwise
@@ -31,7 +32,7 @@ status's `gap_proof`; a vacuous goal yields every candidate, with a
 
 Step (3) runs one conversion search per sample, and the samples of one goal
 mostly share their redexes and their draw context (see `equations`).  So
-`check_ce_validity` owns one dict of memos of draws by draw context, hands it
+step (3) owns one dict of memos of draws by draw context, hands it
 to every sampled search and drops it on return: a redex is matched and
 instantiated once per call and draw context, not once per sample.  A sample
 whose value or term pool differs (a value outside the default pool, say)
@@ -252,6 +253,8 @@ class ValidityStatus:
     failing_sample: Optional[dict[Variable, Term]] = None
     detail: str = ""
     budget: Optional[str] = None  # the search budget that ran out on failing_sample
+    # every instance with its trace, when they are all and the sides are over X
+    instances: Optional[tuple[tuple[dict[Variable, Term], ConversionTrace], ...]] = None
 
     @property
     def is_proof(self) -> bool:
@@ -351,36 +354,54 @@ def proof_search(theory: CETheory, ce: ConstrainedEquation,
         theory.outcomes[key] = None
 
 
-def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
-                      budgets: ValidityBudgets | None = None) -> ValidityStatus:
-    budgets = budgets or ValidityBudgets()
-    model = theory.model
-    for status in proof_search(theory, ce, budgets):
-        return status
+def cases_cover(theory: CETheory, ce: ConstrainedEquation) -> bool:
+    """Whether all of ce's instances are cases that Abst lifts: every logical
+    variable has a finite sort, and the sides use only logical variables."""
+    X = ce.logical_vars
+    return all(theory.model.carriers[x.sort].finite for x in X) \
+        and vars_of(ce.lhs) | vars_of(ce.rhs) <= X
 
-    # (3) sampling: evidence only; the searches share memos of draws by draw
+
+def verdicts(theory: CETheory, ce: ConstrainedEquation,
+             budgets: ValidityBudgets) -> Iterator[ValidityStatus]:
+    """check_ce_validity's verdicts on ce in the order it tries them: the
+    proof verdicts of proof_search, then the one of step (3)."""
+    yield from proof_search(theory, ce, budgets)
+
+    # (3) sampling: evidence, and a proof only when the samples are every
+    # instance (see proofs).  The searches share memos of draws by draw
     # context, dropped on return.  A closed goal's one, empty, sample is the
     # search of step (1), so the theory's memo of outcomes answers it, and
     # search_stop reads why that search stopped
+    model, X = theory.model, ce.logical_vars
     limits = budgets.search_limits()
     draw_memos: DrawMemos = {}
-    count = 0
-    for sigma in itertools.islice(enumerate_satisfying(model, ce.logical_vars, ce.constraint,
+    instances = []
+    for sigma in itertools.islice(enumerate_satisfying(model, X, ce.constraint,
                                                        box=budgets.box), budgets.max_samples):
-        count += 1
         lhs, rhs = apply_subst(sigma, ce.lhs), apply_subst(sigma, ce.rhs)
         trace = conversion_search(theory, lhs, rhs, limits, draw_memos=draw_memos)
         if trace is None:
             if search_stop(theory, lhs, rhs, limits) == "max_nodes":
-                return ValidityStatus(
+                yield ValidityStatus(
                     "unknown", failing_sample=sigma, budget="max_nodes",
                     detail=f"search budget max_nodes ({limits.max_nodes}) ran out on "
                            f"an instance before bound {limits.bound}; no answer")
-            return ValidityStatus("no-conversion-within-bound",
-                                  failing_sample=sigma,
-                                  detail="bounded search found no conversion for this "
-                                         "instance; this does not prove invalidity")
-    if count == 0:
-        return ValidityStatus("unknown",
-                              detail="no satisfying instances in the sample box")
-    return ValidityStatus("confirmed-on-samples", samples=count, detail=SAMPLE_CAVEAT)
+            else:
+                yield ValidityStatus("no-conversion-within-bound",
+                                     failing_sample=sigma,
+                                     detail="bounded search found no conversion for this "
+                                            "instance; this does not prove invalidity")
+            return
+        instances.append((sigma, trace))
+    if not instances:
+        yield ValidityStatus("unknown", detail="no satisfying instances in the sample box")
+        return
+    every = len(instances) < budgets.max_samples and cases_cover(theory, ce)
+    yield ValidityStatus("confirmed-on-samples", samples=len(instances), detail=SAMPLE_CAVEAT,
+                         instances=tuple(instances) if every else None)
+
+
+def check_ce_validity(theory: CETheory, ce: ConstrainedEquation,
+                      budgets: ValidityBudgets | None = None) -> ValidityStatus:
+    return next(verdicts(theory, ce, budgets or ValidityBudgets()))

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from lcer.cli import main
-from lcer.equations import reachable_terms
+from lcer.equations import CEError, reachable_terms
 from lcer.syntax import parse_term, term_text
 from tests.conftest import FIXTURES, load_theory
 
@@ -73,6 +73,39 @@ def test_internal_error_is_reported_not_raised(capsys, monkeypatch):
     assert doc["detail"] == "KeyError: 'lost'"
     code, out = run(capsys, "parse", fx("mod12.th"))
     assert code == 5 and out == "internal error: KeyError: 'lost'\n"
+
+
+def test_a_valueerror_raised_by_lcer_is_an_internal_error(capsys, monkeypatch):
+    # only the input errors exit 3; a ValueError from inside lcer is its fault
+    import lcer.cli as cli
+
+    def broken(*args):
+        raise ValueError("lost")
+
+    monkeypatch.setattr(cli, "check_ce_validity", broken)
+    code, doc = run_json(capsys, "validate", fx("mod12.th"), "-l", "cong(1)", "-r", "cong(1)")
+    assert code == 5 and doc["detail"] == "ValueError: lost"
+
+
+def test_an_integer_literal_too_long_to_convert_is_an_input_error(capsys, tmp_path):
+    # int() converts at most 4300 digits; the readers refuse a longer literal
+    big = "1" * 5000
+    theory = tmp_path / "big.th"
+    theory.write_text(f"(theory (model intmod {big}))")
+    for argv in (["parse", str(theory)],
+                 ["rewrite", fx("mod12.th"), "-t", f"cong({big})"],
+                 ["rewrite", fx("mod12.th"), "-t", "cong(1)", "--pool", big]):
+        code, doc = run_json(capsys, *argv)
+        assert code == 3 and doc["verdict"] == "input-error", argv
+
+
+def test_a_missing_theory_file_is_an_input_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing.th")
+    code, doc = run_json(capsys, "parse", missing)
+    assert code == 3 and doc["verdict"] == "input-error"
+    assert doc["detail"] == f"[Errno 2] No such file or directory: '{missing}'"
+    code, out = run(capsys, "parse", missing)
+    assert code == 3 and out == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_convert_modular(capsys):
@@ -574,8 +607,8 @@ def test_an_equality_where_an_integer_is_expected_is_an_input_error(capsys):
     assert "ill-sorted-equation" in doc["detail"] and "expected Int" in doc["detail"]
 
 
-# ROADMAP.md's reproducer of a known defect: prove_heuristic raises CEError from
-# _simulate_step on this valid goal, a fault of lcer and not of the input
+# a valid goal whose rule steps bind equation variables to terms over the
+# goal's logical variables; prove once raised CEError on it from _simulate_step
 DEFECT_THEORY = """(theory (model bool) (sorts U)
   (fun h (Bool) U) (fun k (U) U) (fun c0 () U) (fun pairf (U Bool) U)
   (eq (vars (b Bool) (u U)) (pi b) (constraint (= b b)) u (pairf (pairf c0 false) b))
@@ -583,7 +616,24 @@ DEFECT_THEORY = """(theory (model bool) (sorts U)
   (goal g (vars (a Bool)) (pi a) (constraint (= a false)) (h a) (k (pairf c0 false))))"""
 
 
-def test_a_ceerror_raised_while_proving_is_an_internal_error(capsys, tmp_path):
+def test_a_goal_whose_steps_bind_goal_variables_is_proved(capsys, tmp_path):
+    theory = tmp_path / "defect.th"
+    theory.write_text(DEFECT_THEORY)
+    proof = tmp_path / "g.prf"
+    code, _ = run(capsys, "prove", str(theory), "-g", "g", "--box", "4",
+                  "--rewrite-depth", "2", "-o", str(proof))
+    assert code == 0
+    code, _ = run(capsys, "check", str(theory), "-p", str(proof))
+    assert code == 0
+
+
+def test_a_ceerror_raised_while_proving_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    import lcer.cli as cli
+
+    def broken(*args):
+        raise CEError("constraint mentions variables outside the logical set: a")
+
+    monkeypatch.setattr(cli, "prove_heuristic", broken)
     theory = tmp_path / "defect.th"
     theory.write_text(DEFECT_THEORY)
     argv = ["prove", str(theory), "-g", "g", "--box", "4", "--rewrite-depth", "2"]

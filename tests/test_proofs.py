@@ -9,9 +9,15 @@ from lcer.proofs import (
     prove_heuristic,
 )
 from lcer.sexpr import ParseError
-from lcer.syntax import parse_goal_spec, parse_proof, parse_term, serialize_proof
+from lcer.syntax import (
+    parse_goal_spec,
+    parse_proof,
+    parse_term,
+    parse_theory,
+    serialize_proof,
+)
 from lcer.terms import Variable
-from lcer.validity import ValidityBudgets
+from lcer.validity import ValidityBudgets, check_ce_validity
 from tests.conftest import load_fixture
 
 
@@ -261,10 +267,37 @@ def test_prove_counter_chain(nneg):
 
 
 def test_prove_case_split(splitabst):
-    d = prove_heuristic(splitabst.theory, splitabst.goals["all"], ValidityBudgets())
+    # validate samples both instances, which are all of them, so prove joins
+    # one Abst per instance with Split, and the cover needs both cases
+    goal = splitabst.goals["all"]
+    status = check_ce_validity(splitabst.theory, goal, ValidityBudgets())
+    assert status.kind == "confirmed-on-samples" and len(status.instances) == 2
+    # with as many samples as max_samples, more instances might remain
+    assert check_ce_validity(splitabst.theory, goal, ValidityBudgets(max_samples=2)) \
+        .instances is None
+    d = prove_heuristic(splitabst.theory, goal, ValidityBudgets())
     assert d is not None and accepted(splitabst, d).accepted
     assert d.count_nodes("Split") == 1
     assert d.count_nodes("Abst") == 2
+    assert d.rule == "Weakening" and d.premises[0].rule == "Split"
+    for case in d.premises[0].premises:
+        assert case.rule == "Abst"
+        one_case = Derivation("Weakening", goal, premises=(case,))
+        assert accepted(splitabst, one_case).verdict == "rejected"
+
+
+def test_no_case_split_over_a_term_variable():
+    # every instance of x converts, but u is no logical variable, so Abst
+    # cannot lift an instance to its case
+    tf = parse_theory("""(theory (model bool) (sorts U) (fun g (Bool U) U)
+      (eq (vars (u U)) (pi) (constraint true) (g true u) u)
+      (eq (vars (u U)) (pi) (constraint true) (g false u) u)
+      (goal g (vars (x Bool) (u U)) (pi x) (constraint true) (g x u) u))""")
+    goal = tf.goals["g"]
+    status = check_ce_validity(tf.theory, goal, ValidityBudgets())
+    assert status.kind == "confirmed-on-samples" and status.samples == 2
+    assert status.instances is None
+    assert prove_heuristic(tf.theory, goal, ValidityBudgets()) is None
 
 
 def test_prove_parameterized_counter_fails(nneg):
