@@ -227,6 +227,8 @@ class CETheory:
 
     def __post_init__(self) -> None:
         self.outcomes: dict[tuple, Optional[ConversionTrace] | str] = {}
+        # by sort, the values in the equations: default_value_pool's share of the theory
+        self.literals = _literals(t for eq in self.equations for t in (eq.lhs, eq.rhs, eq.constraint))
         # by equation index, then direction
         self._sides = tuple(_Side.of(i, direction, eq, self.model)
                             for i, eq in enumerate(self.equations) for direction in ("lr", "rl"))
@@ -376,23 +378,32 @@ def calc_trace(model: UnderlyingModel, t: Term) -> tuple[Term, list[TraceStep]]:
 
 # -- value and term candidate pools -------------------------------------------
 
-def default_value_pool(theory: CETheory, goal_terms: Iterable[Term] = ()) -> dict[Sort, tuple]:
-    """Finite carriers verbatim; for the integers, [-8, 8] plus all literals
-    occurring in the theory and the goal."""
-    model = theory.model
+def _literals(terms: Iterable[Term]) -> dict[Sort, set]:
+    """By sort, the values that occur in terms."""
     lits: dict[Sort, set] = {}
-    for t in itertools.chain([t for eq in theory.equations
-                              for t in (eq.lhs, eq.rhs, eq.constraint)], goal_terms):
+    for t in terms:
         for u in subterms_of(t):
             if isinstance(u, App) and u.fun.is_value:
                 lits.setdefault(u.fun.result_sort, set()).add(u.fun.value)
-    pool: dict[Sort, tuple] = {}
+    return lits
+
+
+class _CarrierPool(dict):
+    """A value pool known to lie in its sorts' carriers: no draw checks it."""
+
+
+def default_value_pool(theory: CETheory, goal_terms: Iterable[Term] = ()) -> dict[Sort, tuple]:
+    """Finite carriers verbatim; for the integers, [-8, 8] plus all literals
+    occurring in the theory (CETheory.literals) and the goal."""
+    model = theory.model
+    lits = _literals(goal_terms)
+    pool = _CarrierPool()
     for name, sort in model.sorts.items():
         car = model.carriers[sort]
         if car.finite:
             pool[sort] = tuple(car.elements)  # type: ignore[arg-type]
         else:
-            vals = set(range(-8, 9)) | lits.get(sort, set())
+            vals = set(range(-8, 9)).union(theory.literals.get(sort, ()), lits.get(sort, ()))
             pool[sort] = tuple(sorted(vals, key=lambda v: (abs(v), v < 0)))
     return pool
 
@@ -523,9 +534,10 @@ def _logical_draws(model: UnderlyingModel, guard: Guard, extras: tuple[Variable,
     def pool() -> Iterator[tuple]:
         domains = [value_pool.get(v.sort) for v in extras]
         if None not in domains:
-            for v, elems in zip(extras, domains):
-                for e in elems:
-                    model.value_symbol(v.sort, e)  # pool values may come from the command line
+            if not isinstance(value_pool, _CarrierPool):  # it may come from the command line
+                for v, elems in zip(extras, domains):
+                    for e in elems:
+                        model.value_symbol(v.sort, e)
             yield from guard.points(prefix, domains)
 
     box = () if solve_box is None else \
@@ -763,6 +775,9 @@ class Expander:
             self.solve_box = limits.solve_box
         else:
             self.value_pool, self.solve_box = value_pool, None
+            # checked once here; a pool that fails is left to fail where a draw reads it
+            if all(theory.model.element_in_carrier(s, e) for s, es in value_pool.items() for e in es):
+                self.value_pool = _CarrierPool(value_pool)
         self.term_pool = pool = term_candidate_pool(pool_terms)
         self.pool_normal = not any(theory.model.is_calc_redex(u) for terms in pool.values()
                                    for t in terms for u in subterms_of(t))

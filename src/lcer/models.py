@@ -107,6 +107,7 @@ class UnderlyingModel:
         self.symbols = {f.name: f for f in symbols}
         self.interp = interp
         self.carriers = carriers
+        self.verdicts: dict[tuple, object] = {}  # oracle.check_validity's memo
         self._value_terms: dict[tuple[str, type, object], App] = {}
         for s in sorts:
             if carriers[s].finite:

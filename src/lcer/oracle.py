@@ -9,13 +9,18 @@ an integer box; and finally an external solver when one is configured.
 
 Every backend is sound.  Only the finite, univariate-linear, and solver
 backends are complete, so the oracle may answer Unknown.
+
+A model remembers each verdict, Unknown included, for as long as it lives
+(`UnderlyingModel.verdicts`; no option), keyed by everything it depends on:
+the formula, the budget's bounds and its solver session by identity.  A query
+that raises is not remembered; each answer has a witness of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .models import BOOL, UnderlyingModel, int_domain, satisfying
@@ -80,6 +85,14 @@ DEFAULT_BUDGET = OracleBudget()
 def check_validity(model: UnderlyingModel, phi: Term, budget: OracleBudget | None = None) -> Verdict:
     """Decide whether phi holds under every valuation, as far as the backends can."""
     budget = budget or DEFAULT_BUDGET
+    key = (phi, budget.box, budget.max_points, budget.max_finite, budget.max_atoms, budget.solver)
+    verdict = model.verdicts.get(key)
+    if verdict is None:
+        verdict = model.verdicts[key] = _decide(model, phi, budget)
+    return verdict if verdict.witness is None else replace(verdict, witness=dict(verdict.witness))
+
+
+def _decide(model: UnderlyingModel, phi: Term, budget: OracleBudget) -> Verdict:
     if sort_of(phi) != BOOL:
         raise ValueError("validity queries take Bool-sorted constraints")
     fv = sorted(vars_of(phi), key=lambda v: v.name)

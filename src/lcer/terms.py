@@ -25,6 +25,9 @@ class Sort:
     name: str
     kind: str  # THEORY or TERM
 
+    def __post_init__(self) -> None:  # the dataclass's hash, computed once
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
     def __eq__(self, other: Any) -> bool:
         # structural, as the dataclass's own, but identity first
         if self is other:
@@ -32,6 +35,9 @@ class Sort:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.name == other.name and self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return self.name
@@ -54,6 +60,8 @@ class FunSymbol:
                         f"theory symbol {self.name} uses term sort {s.name}")
         if self.is_value and (self.kind != THEORY or self.arg_sorts):
             raise SignatureError(f"value {self.name} must be a theory constant")
+        object.__setattr__(self, "_hash", hash((self.name, self.arg_sorts, self.result_sort,
+                                                self.kind, self.is_value, self.value)))
 
     def __eq__(self, other: Any) -> bool:
         # structural, as the dataclass's own, but identity first
@@ -64,6 +72,9 @@ class FunSymbol:
         return (self.name == other.name and self.arg_sorts == other.arg_sorts
                 and self.result_sort == other.result_sort and self.kind == other.kind
                 and self.is_value == other.is_value and self.value == other.value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def arity(self) -> int:

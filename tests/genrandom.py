@@ -114,6 +114,34 @@ def random_constraint(theory, rng, xs):
     return atom
 
 
+def _random_int_term(model, rng, xs, depth):
+    if depth == 0 or rng.random() < 0.4:
+        if xs and rng.random() < 0.6:
+            return rng.choice(xs)
+        return model.value_term(model.sorts["Int"], rng.randrange(-4, 5))
+    op = model.symbols[rng.choice(["+", "-", "*"])]
+    return App(op, (_random_int_term(model, rng, xs, depth - 1),
+                    _random_int_term(model, rng, xs, depth - 1)))
+
+
+def random_formula(theory, rng, xs, depth=2):
+    """A Bool constraint over xs: atoms under not, and, or and =>.  Over a
+    finite model the atoms are random_atom's; over the integers
+    (lia_test_theory) they compare sums, differences and products of xs and
+    small values, which the oracle may leave Unknown."""
+    model = theory.model
+    if depth == 0 or rng.random() < 0.3:
+        if model.carriers[_data_sort(theory)].finite:
+            return random_atom(theory, rng, xs)
+        cmp = model.symbols[rng.choice(["=Int", "<", "<=", ">", ">="])]
+        return App(cmp, (_random_int_term(model, rng, xs, 2), _random_int_term(model, rng, xs, 1)))
+    op = rng.choice(["not", "and", "or", "=>"])
+    if op == "not":
+        return App(model.symbols["not"], (random_formula(theory, rng, xs, depth - 1),))
+    return App(model.symbols[op], (random_formula(theory, rng, xs, depth - 1),
+                                   random_formula(theory, rng, xs, depth - 1)))
+
+
 def random_equation(theory, rng) -> ConstrainedEquation:
     # equation sides keep data arguments flat (variables or values) so that
     # instances stay matchable after calc normalization

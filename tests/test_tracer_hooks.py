@@ -10,8 +10,10 @@ from collections import Counter
 
 import lcer
 import lcer.equations as equations
+import lcer.oracle as oracle
 import lcer.terms as terms
 from lcer.equations import SearchLimits
+from lcer.models import lia_model
 from lcer.syntax import parse_term
 
 from conftest import load_theory
@@ -140,3 +142,26 @@ def test_app_new_counts_trusted_constructions(group):
         counts = tr.metrics()
         assert counts.get("terms.App.new", 0) == len(pos)
         assert counts["terms.replace_at.calls"] == 1
+
+
+def test_a_query_answered_from_the_memo_still_counts_as_a_call():
+    # the memo of verdicts lives inside oracle.check_validity, under its
+    # span: a repeated top-level query is a call, and only its recursive
+    # sub-queries (here phi with y replaced by x, as x = y propagates) are saved
+    model = lia_model()
+    i = model.sorts["Int"]
+    x, y = terms.Variable("x", i), terms.Variable("y", i)
+    phi = model.implies(model.equality(x, y), terms.App(model.symbols[">="], (x, y)))
+    tracer = _tracer_module()
+    counts = []
+    for _ in range(3):
+        tr = tracer.Tracer()
+        tr.install(lcer)
+        try:
+            assert oracle.check_validity(model, phi).is_valid
+        finally:
+            tr.uninstall()
+        counts.append(tr.metrics())
+    assert [c["oracle.check_validity.calls"] for c in counts] == [2, 1, 1]
+    assert [c["oracle.check_validity.valid"] for c in counts] == [2, 1, 1]
+    assert len(model.verdicts) == 2
