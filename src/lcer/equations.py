@@ -30,7 +30,12 @@ context, whether the term pool is calc-normal, and a memo from redex to its
 a redex is matched and instantiated once per memo, and every candidate
 where it recurs shares its draws' instantiated side, that side's calc
 normal form and its size, and what `macro_edges` caches of each draw at
-its redex.  Per edge only the rebuilt spine is left.  A
+its redex.  Per edge only the rebuilt spine is left.  A side is matched
+and instantiated through the plain data it is compiled to on its first
+draw, not at parse (`_Side.kernel`, `_Side.template`): the kernel reads the
+bindings as a tuple in `matched` order and checks no variable's sort, since
+`sides_for` gives a side only redexes of its source's sort and root symbol,
+below which the signature fixes each argument's sort.  A
 search owns one memo, made when it is set up and dropped when it ends,
 unless its caller hands it `draw_memos`, a dict from draw context to memo
 that the caller owns: then every search with the same draw context shares
@@ -55,7 +60,9 @@ Conversion search is bidirectional best-first with one frontier, a heap of
 of steps + term size, then the left side before the right, then steps, then
 term_key.  An expansion's edges are pushed as `expand` yields them, unsorted;
 a term reached again at fewer steps is pushed again, and its older entry,
-which sorts after the newer one, is skipped as done.
+which sorts after the newer one, is skipped as done.  The first expansion
+that meets ends the search: the rest of its edges are still weighed as
+meets, but none is pushed, and one that meets nothing gets no node.
 
 Edges are deferred: `macro_edges` gives each target as a splice of its
 parent, and the search keys `dist` and the heap by its term_key, spliced
@@ -70,7 +77,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .models import Guard, UnderlyingModel, sort_domain
 from .models import enumerate_satisfying  # noqa: F401  (the benchmark's tracer rebinds it here)
@@ -84,8 +91,10 @@ from .terms import (
     Term,
     Variable,
     apply_subst,
-    instantiate,
-    match,
+    compile_pattern,
+    compile_template,
+    fill_template,
+    match_compiled,
     positions_of,
     replace_at,
     sort_of,
@@ -163,9 +172,11 @@ class ConstrainedEquation:
         return f"<{xs}> {self.lhs!r} ~ {self.rhs!r} [{self.constraint!r}]"
 
 
-class _Side(NamedTuple):
+@dataclass(eq=False)
+class _Side:
     """What rule steps with equation eq_index in one direction share: src is
-    matched, dst is instantiated."""
+    matched, dst is instantiated, each through the plain data it is compiled
+    to on the side's first draw (`kernel`, `template`; see terms)."""
 
     eq_index: int
     direction: str  # "lr" or "rl"
@@ -173,6 +184,7 @@ class _Side(NamedTuple):
     dst: Term
     checked_logical: tuple[Variable, ...]  # logical in src, by (name, sort): must match values
     matched: tuple[Variable, ...]  # the variables of src, by name
+    checked_at: tuple[int, ...]  # the index of each of checked_logical in matched
     logical_extras: tuple[Variable, ...]  # logical variables not in src, by (name, sort)
     term_extras: tuple[Variable, ...]  # other variables of dst not in src, by name
     variables: tuple[Variable, ...]  # matched + logical_extras + term_extras
@@ -200,12 +212,15 @@ class _Side(NamedTuple):
         variables = matched + logical_extras + term_extras
         return cls(
             eq_index, direction, src, dst, checked,
-            matched, logical_extras, term_extras, variables,
+            matched, tuple(map(matched.index, checked)), logical_extras, term_extras, variables,
             tuple((variables.index(x), n) for x, n in counts.items()),
             plain,
             None if eq.trivial_constraint and not logical_extras
             else Guard(model, [*checked, *logical_extras], eq.constraint),
         )
+
+    kernel = cached_property(lambda self: compile_pattern(self.src, self.matched))
+    template = cached_property(lambda self: compile_template(self.dst, self.variables))
 
 
 @dataclass
@@ -463,7 +478,7 @@ class Draw:
     @property
     def replacement(self) -> Term:
         if self._replacement is None:
-            self._replacement = instantiate(self.sigma, self.side.dst)
+            self._replacement = fill_template(self.side.template, self.values)
         return self._replacement
 
     def normal(self, model: UnderlyingModel) -> tuple[Term, list[tuple[Position, Term, Term]]]:
@@ -559,10 +574,10 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
     model = theory.model
     out: list[Draw] = []
     for side in theory.sides_for(sub):
-        base = match(side.src, sub)
-        if base is None:
+        matched = match_compiled(side.kernel, sub)
+        if matched is None:
             continue
-        fixed = [base[x] for x in side.checked_logical]
+        fixed = [matched[i] for i in side.checked_at]
         # logical variables bound by matching must already be values
         if not all(map(model.is_value_term, fixed)):
             continue
@@ -571,7 +586,6 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
             value_pool, solve_box, cap_per_redex)
         # no draw where a term variable's sort has no pool term
         term_domains = [term_pool.get(x.sort, ()) for x in side.term_extras]
-        matched = tuple([base[x] for x in side.matched])
         for logical in logical_draws:
             for term_combo in itertools.product(*term_domains):
                 out.append(Draw(side, matched + logical + term_combo))
@@ -930,13 +944,14 @@ def _search(theory: CETheory, s: Term, t: Term, limits: SearchLimits,
                 at, (before, after) = q, key_around(u_key, u, q)
             key = before + term_key(splice[2]) + after if q else term_key(splice[2])
             old = reached.get(key)
-            if old is None:
-                old = reached[key] = _Node(c2, node, edge, splice)
-            elif c2 < old.steps:
+            if old is not None and c2 < old.steps:
                 old.steps, old.parent, old.edge = c2, node, edge
+            elif old is None and (best is None or key in other):  # met: only meets matter
+                old = reached[key] = _Node(c2, node, edge, splice)
             else:
                 continue
-            heapq.heappush(frontier, (c2 + size, side, c2, key, old))
+            if best is None:
+                heapq.heappush(frontier, (c2 + size, side, c2, key, old))
             meet = other.get(key)
             if meet is not None:
                 total = c2 + meet.steps

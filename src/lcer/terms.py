@@ -8,13 +8,19 @@ Sorts are checked where terms enter: the public `App(...)`, `apply_subst` and
 `replace_at` (at the replaced position).  Rebuilds whose sorts are right by
 construction use `trusted_app`, which skips the per-argument check.  A term
 caches its hash, its size and, once asked for, its `term_key`.
+
+An equation side, matched and instantiated over and over, is compiled once
+to plain data: `match_compiled` reads a `compile_pattern` flatterm's bindings
+as a tuple, with no sort check per variable (its caller gives it subjects of
+the pattern's sort, and below a matching symbol the signature fixes each
+argument's sort), and `fill_template` fills a `compile_template` template.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 THEORY = "theory"
 TERM = "term"
@@ -60,8 +66,10 @@ class FunSymbol:
                         f"theory symbol {self.name} uses term sort {s.name}")
         if self.is_value and (self.kind != THEORY or self.arg_sorts):
             raise SignatureError(f"value {self.name} must be a theory constant")
+        # value only for a value: hash(None) is an address, which differs per process
         object.__setattr__(self, "_hash", hash((self.name, self.arg_sorts, self.result_sort,
-                                                self.kind, self.is_value, self.value)))
+                                                self.kind, self.is_value)
+                                               + ((self.value,) if self.is_value else ())))
 
     def __eq__(self, other: Any) -> bool:
         # structural, as the dataclass's own, but identity first
@@ -317,15 +325,61 @@ def apply_subst(subst: Subst, t: Term) -> Term:
     return App(t.fun, args)
 
 
-def instantiate(subst: Subst, t: Term) -> Term:
-    """apply_subst for a substitution that binds every variable to a term of
-    its own sort (a match, or draws made by sort): no sort check."""
+def compile_pattern(pattern: Term, variables: Sequence[Variable]) -> tuple:
+    """pattern as plain data for match_compiled, a flatterm: its root symbol
+    (None for a variable), the number of variables, which are pattern's, and
+    each position below the root in pre-order as (path, symbol, None) or
+    (path, None, the index of its variable in variables).  A path is a tuple
+    of 0-based argument indices."""
+    return (pattern.fun if isinstance(pattern, App) else None, len(variables), tuple(
+        (tuple([i - 1 for i in pos]), u.fun, None) if isinstance(u, App)
+        else (tuple([i - 1 for i in pos]), None, variables.index(u))
+        for pos, u in positions_of(pattern) if pos))
+
+
+def match_compiled(kernel: tuple, subject: Term) -> Optional[tuple[Term, ...]]:
+    """match(pattern, subject) read in the order of variables, or None, for
+    kernel = compile_pattern(pattern, variables) and a well-sorted subject of
+    pattern's sort, rooted in a symbol if pattern is (see the module docstring)."""
+    fun, n, below = kernel
+    if fun is None:
+        return (subject,)
+    if subject.fun is not fun and subject.fun != fun:  # type: ignore[union-attr]
+        return None
+    values: list = [None] * n
+    for path, f, k in below:
+        u = subject
+        for i in path:
+            u = u.args[i]  # type: ignore[union-attr]
+        if f is not None:
+            if u.__class__ is not App or u.fun is not f and u.fun != f:  # type: ignore
+                return None
+        elif values[k] is None:
+            values[k] = u
+        elif values[k] != u:  # a repeated variable
+            return None
+    return tuple(values)
+
+
+def compile_template(t: Term, variables: Sequence[Variable]) -> Any:
+    """t as plain data for fill_template: a variable as its index in
+    variables, which hold t's, a variable-free subterm as it is, and any
+    other as (its arguments' templates, itself)."""
     if isinstance(t, Variable):
-        return subst.get(t, t)
-    args = tuple([instantiate(subst, a) for a in t.args])
-    if args == t.args:
-        return t
-    return trusted_app(t.fun, args)
+        return variables.index(t)
+    args = tuple([compile_template(a, variables) for a in t.args])
+    return t if all(a is u for a, u in zip(args, t.args)) else (args, t)
+
+
+def fill_template(template: Any, values: Sequence[Term]) -> Term:
+    """apply_subst of the variables bound to values, of their sorts, on t,
+    for template = compile_template(t, variables): no sort check, and t's own
+    subterm wherever nothing in it changes."""
+    if template.__class__ is not tuple:  # a variable's index, or a term
+        return values[template] if template.__class__ is int else template
+    templates, t = template
+    args = tuple([fill_template(a, values) for a in templates])
+    return t if args == t.args else trusted_app(t.fun, args)
 
 
 def match(pattern: Term, subject: Term) -> Optional[dict[Variable, Term]]:

@@ -403,3 +403,23 @@ def test_reimport_keeps_no_old_modules_alive():
     out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+_SYMBOL_HASHES = """
+from lcer.terms import FunSymbol, Sort
+s = Sort("Int", "theory")
+print(hash(FunSymbol("f", (s, s), s, "theory")),
+      hash(FunSymbol("3", (), s, "theory", is_value=True, value=3)))
+"""
+
+
+def test_symbol_hashes_are_the_same_in_every_process():
+    """Under one PYTHONHASHSEED a symbol hashes alike in every process, so a
+    set of symbols iterates in one order: a symbol that is no value leaves
+    its value, None, which hashes by address, out of its hash."""
+    src = str(Path(lcer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="3")
+    outs = [subprocess.run([sys.executable, "-c", _SYMBOL_HASHES], env=env,
+                           capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+    assert len(outs[0].split()) == 2 and outs[0] == outs[1]

@@ -91,13 +91,13 @@ def test_each_redex_is_matched_once_per_side_per_search(monkeypatch):
     theory = load_theory("group.th").theory
     s, t = _group_search_endpoints(theory)
     matched = Counter()
-    match = equations.match
+    match = equations.match_compiled
 
-    def counting(pattern, subject):
+    def counting(kernel, subject):
         matched[subject] += 1
-        return match(pattern, subject)
+        return match(kernel, subject)
 
-    monkeypatch.setattr(equations, "match", counting)
+    monkeypatch.setattr(equations, "match_compiled", counting)
     trace = equations.conversion_search(theory, s, t, SearchLimits(bound=4))
     assert trace is not None
     assert matched

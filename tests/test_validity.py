@@ -261,13 +261,13 @@ def test_maxcomm_matches_each_redex_once_per_side_per_call(monkeypatch):
     absmax = load_theory("absmax.th")
     theory = absmax.theory
     matched = Counter()
-    match = equations.match
+    match = equations.match_compiled
 
-    def counting(pattern, subject):
+    def counting(kernel, subject):
         matched[subject] += 1
-        return match(pattern, subject)
+        return match(kernel, subject)
 
-    monkeypatch.setattr(equations, "match", counting)
+    monkeypatch.setattr(equations, "match_compiled", counting)
     st = check_ce_validity(theory, absmax.goals["maxcomm"], ValidityBudgets(bound=8, box=5))
     assert (st.kind, st.samples) == ("confirmed-on-samples", 121)
     assert len(matched) > 100

@@ -22,8 +22,9 @@ import pytest
 import lcer.cli
 from lcer import validity
 from lcer.cli import main
-from lcer.equations import SearchLimits, conversion_search, search_stop
-from lcer.syntax import parse_goal_spec
+from lcer.equations import SearchLimits, calc_trace, conversion_search, search_stop
+from lcer.syntax import parse_goal_spec, parse_term
+from lcer.terms import term_key
 from lcer.validity import ValidityBudgets, check_ce_validity
 
 from tests.conftest import FIXTURES, fresh_copy, load_theory, recorded_searches
@@ -60,6 +61,28 @@ def test_the_node_budget_stops_a_search_and_is_named(absmax, monkeypatch):
     assert pushes == []
     # another budget is another search
     assert search_stop(theory, goal.lhs, goal.rhs, SearchLimits(bound=3)) is None
+
+
+def test_no_push_follows_the_first_meet(absmax, group, monkeypatch):
+    # the first expansion that meets ends the search: its later edges are
+    # weighed as meets but go on no frontier
+    pushes = []
+    push = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush",
+                        lambda heap, item: pushes.append(item[1:4:2]) or push(heap, item))
+    goal = zero_sample(absmax)
+    G = group.theory.signature.sort("G")
+    for theory, s, t, bound in (
+            (absmax.theory, goal.lhs, goal.rhs, 5),
+            (group.theory, parse_term(group.theory, "op(e, op(inv(x), op(x, e)))", {"x": G}),
+             parse_term(group.theory, "e"), 4)):
+        pushes.clear()
+        assert conversion_search(fresh_copy(theory), s, t, SearchLimits(bound=bound))
+        reached = ({term_key(calc_trace(theory.model, s)[0])},
+                   {term_key(calc_trace(theory.model, t)[0])})
+        meets = [i for i, (side, key) in enumerate(pushes)
+                 if reached[side].add(key) or key in reached[1 - side]]
+        assert meets[:1] == [len(pushes) - 1]
 
 
 def test_a_search_that_ends_within_its_budgets_names_none(absmax, group):
