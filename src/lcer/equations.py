@@ -15,11 +15,12 @@ and the consistency check in `algebra` set up an `Expander`, whose draws are
 draws into the same loop.  `breadth_first` is the one loop over reachable
 sets.  An edge leaves a calc-normal term only: after a rule step at position
 p, only the new subterm and the ancestors of p can hold a calculation redex,
-so only they are normalized.  Rule-step candidates are lazy, and a
-candidate whose result is calc-normal has a size known before anything is
-built, so the size cap drops it before it costs a term.  An edge's trace
-steps are built only when read (`RuleCandidate.steps`): a search builds them
-only along the path it returns.
+so only they are normalized.  A draw whose result is calc-normal has a
+size known before anything is built, and an expander hands its size cap to
+rule_step_candidates, so no candidate is made for such a draw too large for
+it; other candidates are lazy.  An edge's trace steps are built only when
+read (`RuleCandidate.steps`): a search builds them only along the path it
+returns.
 
 The rule steps at a position depend only on the redex there and on the
 search's draw context: its value pool, solve box and cap per redex, and its
@@ -35,7 +36,9 @@ and instantiated through the plain data it is compiled to on its first
 draw, not at parse (`_Side.kernel`, `_Side.template`): the kernel reads the
 bindings as a tuple in `matched` order and checks no variable's sort, since
 `sides_for` gives a side only redexes of its source's sort and root symbol,
-below which the signature fixes each argument's sort.  A
+below which the signature fixes each argument's sort.  A side with no guard,
+no logical variable to check and no term variable to draw (`_Side.direct`)
+takes the match as its one draw, without the guard and term pool loop.  A
 search owns one memo, made when it is set up and dropped when it ends,
 unless its caller hands it `draw_memos`, a dict from draw context to memo
 that the caller owns: then every search with the same draw context shares
@@ -191,6 +194,7 @@ class _Side:
     occurrences: tuple[tuple[int, int], ...]  # variables of dst (index in variables), counts
     plain: bool  # dst is no value and has no non-value theory operator
     guard: Optional[Guard]  # over checked_logical + logical_extras; None: nothing to check
+    direct: bool  # no guard, checked_logical or term_extras: a match is the one draw
 
     @classmethod
     def of(cls, eq_index: int, direction: str, eq: ConstrainedEquation,
@@ -210,13 +214,13 @@ class _Side:
         term_extras = tuple(sorted(counts.keys() - in_src - eq.logical_vars,
                                    key=lambda v: v.name))
         variables = matched + logical_extras + term_extras
+        guard = None if eq.trivial_constraint and not logical_extras \
+            else Guard(model, [*checked, *logical_extras], eq.constraint)
         return cls(
             eq_index, direction, src, dst, checked,
             matched, tuple(map(matched.index, checked)), logical_extras, term_extras, variables,
             tuple((variables.index(x), n) for x, n in counts.items()),
-            plain,
-            None if eq.trivial_constraint and not logical_extras
-            else Guard(model, [*checked, *logical_extras], eq.constraint),
+            plain, guard, guard is None and not checked and not term_extras,
         )
 
     kernel = cached_property(lambda self: compile_pattern(self.src, self.matched))
@@ -407,6 +411,10 @@ class _CarrierPool(dict):
     """A value pool known to lie in its sorts' carriers: no draw checks it."""
 
 
+class _NormalPool(dict):
+    """A term pool known to be calc-normal (see rule_step_candidates)."""
+
+
 def default_value_pool(theory: CETheory, goal_terms: Iterable[Term] = ()) -> dict[Sort, tuple]:
     """Finite carriers verbatim; for the integers, [-8, 8] plus all literals
     occurring in the theory (CETheory.literals) and the goal."""
@@ -577,6 +585,9 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
         matched = match_compiled(side.kernel, sub)
         if matched is None:
             continue
+        if side.direct:
+            out.append(Draw(side, matched))
+            continue
         fixed = [matched[i] for i in side.checked_at]
         # logical variables bound by matching must already be values
         if not all(map(model.is_value_term, fixed)):
@@ -593,7 +604,9 @@ def _draws_at(theory: CETheory, sub: Term, value_pool: dict[Sort, tuple],
 
 
 def position_candidates(t: Term, draws: dict[Term, tuple[Draw, ...]],
-                        draw: Callable[[Term], tuple[Draw, ...]]) -> list[RuleCandidate]:
+                        draw: Callable[[Term], tuple[Draw, ...]],
+                        size_cap: Optional[int] = None, pool_normal: bool = False
+                        ) -> list[RuleCandidate]:
     """The rule steps out of t, as lazy RuleCandidates ordered by position
     (pre-order), then by the order of each redex's draws.
 
@@ -601,15 +614,25 @@ def position_candidates(t: Term, draws: dict[Term, tuple[Draw, ...]],
     the search draws with: `draws` maps each redex already seen to its rule
     steps, and draw(redex) makes them for a redex met for the first time.  A
     search passes one memo to every expansion, so each distinct redex is drawn
-    once per search and its candidates share the draws.
+    once per search and its candidates share the draws.  With a size_cap, a
+    plain draw too large for it makes no candidate unless it draws term
+    variables from a pool that pool_normal does not vouch for.
     """
     out: list[RuleCandidate] = []
-    for pos, sub in positions_of(t):  # pre-order: the positions in sorted order
+    room = float("inf") if size_cap is None else size_cap - t.size
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:  # pre-order: the positions in sorted order
+        pos, sub = stack.pop()
         found = draws.get(sub)
         if found is None:
             found = draws[sub] = draw(sub)
+        limit = room + sub.size  # the largest replacement within size_cap
         for d in found:
-            out.append(RuleCandidate(t, pos, sub, d))
+            if d.size <= limit or not d.plain or d.side.term_extras and not pool_normal:
+                out.append(RuleCandidate(t, pos, sub, d))
+        if sub.__class__ is App:
+            for i in range(len(sub.args), 0, -1):
+                stack.append((pos + (i,), sub.args[i - 1]))
     return out
 
 
@@ -621,6 +644,7 @@ def rule_step_candidates(
     solve_box: int | None | str = "auto",
     cap_per_redex: int = 256,
     draws: Optional[dict[Term, tuple[Draw, ...]]] = None,
+    size_cap: Optional[int] = None,
 ) -> list[RuleCandidate]:
     """All one-step rule successors of t (either direction), as lazy
     RuleCandidates ordered by position (pre-order), then equation index and
@@ -634,6 +658,10 @@ def rule_step_candidates(
     `draws` is the memo of position_candidates: a search passes one dict to
     every call it makes, with the same explicit pools, box and cap.  None
     draws with a memo of this call alone.
+    A size_cap (None: none) leaves out the candidates that macro_edges
+    would drop for their size before building anything: plain draws too
+    large for it, but those from a term pool unless it is an Expander's
+    calc-normal one (_NormalPool).
     """
     if solve_box == "auto":
         solve_box = None if value_pool is not None else 64
@@ -643,7 +671,8 @@ def rule_step_candidates(
         term_pool = term_candidate_pool([t])
     return position_candidates(
         t, {} if draws is None else draws,
-        lambda sub: _draws_at(theory, sub, value_pool, term_pool, solve_box, cap_per_redex))
+        lambda sub: _draws_at(theory, sub, value_pool, term_pool, solve_box, cap_per_redex),
+        size_cap, isinstance(term_pool, _NormalPool))
 
 
 # -- bidirectional conversion search ------------------------------------------
@@ -748,12 +777,13 @@ def macro_edges(
 
 
 def key_around(key: str, t: Term, q: Position) -> tuple[str, str]:
-    """term_key(t), given as key, cut around the key of t's subterm at q."""
+    """term_key(t), given as key, cut around the key of t's subterm at q;
+    it reads the keys of t's subterms, which term_key(t) filled."""
     off = 0
     for i in q:
-        off += len(t.fun.name) + i + 1 + sum(map(len, map(term_key, t.args[:i - 1])))
+        off += len(t.fun.name) + i + 1 + sum([len(a._key) for a in t.args[:i - 1]])
         t = t.args[i - 1]  # type: ignore[union-attr]
-    return key[:off], key[off + len(term_key(t)):]
+    return key[:off], key[off + len(t._key):]
 
 
 DrawMemos = dict[tuple, dict[Term, tuple[Draw, ...]]]
@@ -769,7 +799,8 @@ class Expander:
     by constraint solutions over limits.solve_box: an explicit value pool
     draws from the pool alone), the term pool (term_candidate_pool(
     pool_terms)) and limits.cap_per_redex.  pool_normal says whether every
-    term of the term pool is calc-normal, which macro_edges needs to know.
+    term of the term pool is calc-normal, which macro_edges needs to know;
+    such a pool is kept as a _NormalPool, which tells rule_step_candidates.
     Every draw goes into one memo by redex, `draws`.  With draw_memos None
     the memo is the expander's own; otherwise it is draw_memos' memo for
     this draw context, shared with every other search given the same dict
@@ -792,16 +823,18 @@ class Expander:
             # checked once here; a pool that fails is left to fail where a draw reads it
             if all(theory.model.element_in_carrier(s, e) for s, es in value_pool.items() for e in es):
                 self.value_pool = _CarrierPool(value_pool)
-        self.term_pool = pool = term_candidate_pool(pool_terms)
+        pool = term_candidate_pool(pool_terms)
         self.pool_normal = not any(theory.model.is_calc_redex(u) for terms in pool.values()
                                    for t in terms for u in subterms_of(t))
+        self.term_pool = _NormalPool(pool) if self.pool_normal else pool
         self.draws: dict[Term, tuple[Draw, ...]] = {} if draw_memos is None else \
             draw_memos.setdefault((self.solve_box, self.cap, tuple(self.value_pool.items()),
                                    tuple(pool.get(s, ()) for s in theory.term_extra_sorts)), {})
 
     def __call__(self, u: Term) -> Iterator[Edge]:
         cands = rule_step_candidates(self.theory, u, self.value_pool, self.term_pool,
-                                     self.solve_box, self.cap, draws=self.draws)
+                                     self.solve_box, self.cap, draws=self.draws,
+                                     size_cap=self.size_cap)
         return macro_edges(self.theory.model, u, cands, self.size_cap, self.pool_normal)
 
     def normal_form(self, u: Term) -> Term:

@@ -42,15 +42,11 @@ class EvalError(Exception):
 
 
 def euclidean_div(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    return a // b if b > 0 else -(a // -b)
+    return (a - a % abs(b)) // b if b else 0
 
 
 def euclidean_mod(a: int, b: int) -> int:
-    if b == 0:
-        return a
-    return a - b * euclidean_div(a, b)
+    return a % abs(b) if b else a
 
 
 def _bool_ops(eq_sorts: list[Sort]) -> tuple[list[FunSymbol], dict[str, Callable]]:
@@ -62,17 +58,12 @@ def _bool_ops(eq_sorts: list[Sort]) -> tuple[list[FunSymbol], dict[str, Callable
         FunSymbol("=>", (b, b), b, THEORY),
         FunSymbol("<=>", (b, b), b, THEORY),
     ]
-    interp: dict[str, Callable] = {
-        "not": lambda x: not x,
-        "and": lambda x, y: x and y,
-        "or": lambda x, y: x or y,
-        "=>": lambda x, y: (not x) or y,
-        "<=>": lambda x, y: x == y,
-    }
+    interp: dict[str, Callable] = {"not": operator.not_, "and": operator.and_, "or": operator.or_,
+                                   "=>": lambda x, y: (not x) or y, "<=>": operator.eq}
     for s in eq_sorts:
         name = f"={s.name}"
         syms.append(FunSymbol(name, (s, s), b, THEORY))
-        interp[name] = lambda x, y: x == y
+        interp[name] = operator.eq
     return syms, interp
 
 
@@ -343,13 +334,16 @@ def bool_model() -> UnderlyingModel:
         "bool", [BOOL], syms, interp, {BOOL: Carrier((False, True))})
 
 
-def _int_model(name: str, wrap: Callable[[int], int],
+def _int_model(name: str, wrap: Optional[Callable[[int], int]],
                int_carrier: Carrier) -> UnderlyingModel:
     """Booleans plus integer arithmetic and comparisons; every arithmetic
-    result passes through wrap."""
+    result passes through wrap (None: the identity)."""
     i, b = INT, BOOL
     syms, interp = _bool_ops([BOOL, INT])
     arith: dict[str, Callable] = {
+        "+": operator.add, "-": operator.sub, "neg": operator.neg, "*": operator.mul,
+        "div": euclidean_div, "mod": euclidean_mod,
+    } if wrap is None else {
         "+": lambda x, y: wrap(x + y),
         "-": lambda x, y: wrap(x - y),
         "neg": lambda x: wrap(-x),
@@ -372,7 +366,7 @@ def _int_model(name: str, wrap: Callable[[int], int],
 
 
 def lia_model() -> UnderlyingModel:
-    return _int_model("lia", lambda x: x, Carrier(None))
+    return _int_model("lia", None, Carrier(None))
 
 
 def intmod_model(n: int) -> UnderlyingModel:

@@ -415,9 +415,10 @@ def test_search_scoped_draws_match_the_reference(group, monkeypatch):
 
 
 def test_search_builds_rule_steps_only_for_its_trace(monkeypatch):
-    # expinv's search makes tens of thousands of candidates; only the rule
-    # steps of the trace it returns become TraceSteps (a theory of its own,
-    # so that no earlier search's outcome is kept in its memo)
+    # expinv's search draws tens of thousands of rule steps at the positions
+    # it expands; only the rule steps of the trace it returns become
+    # TraceSteps (a theory of its own, so that no earlier search's outcome is
+    # kept in its memo)
     group = load_theory("group.th")
     theory = group.theory
     goal = group.goals["expinv"]
@@ -428,11 +429,12 @@ def test_search_builds_rule_steps_only_for_its_trace(monkeypatch):
         built.append(self)
         return as_step(self)
 
-    candidates = []
+    drawn = []  # per expansion, the draws at each position of its term
 
-    def counting_candidates(*args, **kwargs):
-        out = rule_step_candidates(*args, **kwargs)
-        candidates.extend(out)
+    def counting_candidates(theory, t, *args, **kwargs):
+        out = rule_step_candidates(theory, t, *args, **kwargs)
+        draws = kwargs["draws"]
+        drawn.append(sum(len(draws[sub]) for _, sub in positions_of(t)))
         return out
 
     monkeypatch.setattr(RuleCandidate, "as_step", counting_as_step)
@@ -443,7 +445,7 @@ def test_search_builds_rule_steps_only_for_its_trace(monkeypatch):
     rules = [st for st in trace if st.kind == "rule"]
     assert rules
     assert len(built) == len(rules)
-    assert len(candidates) > 1000 * len(rules)
+    assert sum(drawn) > 1000 * len(rules)
 
 
 # -- the edge data each draw caches (Draw.plain, Draw.back) ---------------------
@@ -532,25 +534,28 @@ def test_macro_edges_match_a_per_candidate_reference(name, seed):
 def test_no_draw_the_size_cap_drops_is_built(monkeypatch):
     # expinv's search: a draw whose edges need no calculation and whose
     # every candidate the size cap drops keeps its replacement unbuilt (a
-    # draw that needs calculation is built to learn its size)
+    # draw that needs calculation is built to learn its size); the cap drops
+    # such a candidate before it is made, in rule_step_candidates
     group = load_theory("group.th")
     theory, goal = group.theory, group.goals["expinv"]
-    seen = []  # (draw, dropped by the cap) for each candidate macro_edges reads
-    edges = equations.macro_edges
+    seen = []  # (draw, dropped by the cap) at each position of each expansion
+    candidates = equations.rule_step_candidates
 
-    def recording(model, u, cands, size_cap, pool_normal):
-        assert pool_normal
-        cands = list(cands)
-        out = list(edges(model, u, cands, size_cap, pool_normal))
-        yielded = {id(e[3]) for e in out}
-        for c in cands:
-            d = c.draw
-            dropped = d.plain and u.size - c.redex.size + d.size > size_cap
-            assert not (dropped and id(c) in yielded)
-            seen.append((c.draw, dropped))
-        return iter(out)
+    def recording(theory, t, value_pool, term_pool, *args, draws, size_cap):
+        assert isinstance(term_pool, equations._NormalPool)  # term variables too
+        out = candidates(theory, t, value_pool, term_pool, *args, draws=draws, size_cap=size_cap)
+        made = [(c.position, id(c.draw)) for c in out]
+        kept = []
+        for pos, sub in positions_of(t):
+            for d in draws[sub]:
+                dropped = d.plain and t.size - sub.size + d.size > size_cap
+                if not dropped:
+                    kept.append((pos, id(d)))
+                seen.append((d, dropped))
+        assert made == kept
+        return out
 
-    monkeypatch.setattr(equations, "macro_edges", recording)
+    monkeypatch.setattr(equations, "rule_step_candidates", recording)
     assert conversion_search(theory, goal.lhs, goal.rhs, SearchLimits(bound=12)) is not None
     kept = {id(d) for d, dropped in seen if not dropped}
     dropped = {id(d): d for d, dropped in seen if dropped and id(d) not in kept}

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -48,6 +49,64 @@ def test_euclidean_semantics():
     assert euclidean_mod(5, 0) == 5
     assert LIA.interpret(LIA.value_term(INT, 38)) == 38
     assert euclidean_mod(-7, 12) == 5
+
+
+def _old_div(a, b):
+    # the formulas of euclidean_div and euclidean_mod before they read a % abs(b)
+    if b == 0:
+        return 0
+    return a // b if b > 0 else -(a // -b)
+
+
+def _old_mod(a, b):
+    return a if b == 0 else a - b * _old_div(a, b)
+
+
+def test_euclidean_div_and_mod_agree_with_their_old_formulas():
+    big = [s * m for m in (10**30, 2**64) for s in (1, -1)]
+    pairs = [*itertools.product(range(-300, 301), range(-40, 41)),
+             *itertools.product(big + [-7, 0, 7], big + [-7, 0, 7])]
+    for a, b in pairs:
+        assert (euclidean_div(a, b), euclidean_mod(a, b)) == (_old_div(a, b), _old_mod(a, b)), (a, b)
+
+
+def _old_interp(model_name, n=None):
+    """Each model's interpretation functions as lambdas, as they were written
+    before lia and the connectives took operator's functions."""
+    wrap = (lambda x: x) if n is None else (lambda x: x % n)
+    interp = {
+        "not": lambda x: not x,
+        "and": lambda x, y: x and y,
+        "or": lambda x, y: x or y,
+        "=>": lambda x, y: (not x) or y,
+        "<=>": lambda x, y: x == y,
+        "=Bool": lambda x, y: x == y,
+    }
+    if model_name == "bool":
+        return interp
+    return {**interp, "=Int": lambda x, y: x == y,
+            "+": lambda x, y: wrap(x + y), "-": lambda x, y: wrap(x - y),
+            "neg": lambda x: wrap(-x), "*": lambda x, y: wrap(x * y),
+            "div": lambda x, y: wrap(_old_div(x, y)), "mod": lambda x, y: wrap(_old_mod(x, y)),
+            "<": lambda x, y: x < y, "<=": lambda x, y: x <= y,
+            ">": lambda x, y: x > y, ">=": lambda x, y: x >= y}
+
+
+@pytest.mark.parametrize("model, old", [
+    (bool_model(), _old_interp("bool")),
+    (lia_model(), _old_interp("lia")),
+    (intmod_model(5), _old_interp("intmod", 5)),
+])
+def test_every_interpretation_agrees_with_its_old_lambda(model, old):
+    assert model.interp.keys() == old.keys()
+    for sym in model.symbols.values():
+        if sym.is_value:
+            continue
+        domains = [(False, True) if s.name == "Bool" else
+                   (*range(-13, 14), 10**30, -2**64) for s in sym.arg_sorts]
+        for args in itertools.product(*domains):
+            got, want = model.interp[sym.name](*args), old[sym.name](*args)
+            assert (got, type(got)) == (want, type(want)), (sym.name, args)
 
 
 def test_calc_step_candidates(mod12):

@@ -3,18 +3,22 @@
 A side's match kernel must read the bindings that terms.match finds on a
 subject of its source's sort (rooted in a symbol where the source is), in
 the side's `matched` order, None where match fails; its template must build the
-term that apply_subst builds from them.  Sides: every side of every fixture
-theory and of the seed-77 criterion-11 theories of
-test_conversion_traces.py.  Subjects: every subterm of their goals and
-equations, a few chosen group.th terms, and genrandom's terms.
+term that apply_subst builds from them.  A side with nothing to check or
+draw (`_Side.direct`) makes its one draw from the match at once, which must
+be the draw that the general path, through the guard and the pools, makes.
+Sides: every side of every fixture theory and of the seed-77 criterion-11
+theories of test_conversion_traces.py.  Subjects: every subterm of their
+goals and equations, a few chosen group.th terms, and genrandom's terms.
 """
 
 import os
 import random
 from collections import Counter
 
-from lcer.equations import rule_step_candidates
-from lcer.syntax import parse_term
+import lcer.equations as equations
+from lcer.equations import (
+    CETheory, _draws_at, default_value_pool, rule_step_candidates, term_candidate_pool)
+from lcer.syntax import parse_term, parse_theory
 from lcer.terms import (
     App, Variable, apply_subst, fill_template, match, match_compiled, sort_of, subterms_of)
 
@@ -105,3 +109,43 @@ def test_a_side_is_compiled_on_its_first_draw():
     assert {id(side) for side in sides if "template" in vars(side)} == \
         {id(cand.draw.side) for cand in cands}
     assert built == [apply_subst(cand.draw.sigma, cand.draw.side.dst) for cand in cands]
+
+
+def test_a_side_with_nothing_to_check_or_draw_is_drawn_at_once():
+    # each such side's draw at each subject equals the general path's, run
+    # on a copy of the theory whose sides are all taken the general way
+    direct = 0
+    for theory, terms in _cases():
+        general = CETheory(theory.signature, theory.model, theory.equations)
+        for side in general._sides:
+            side.direct = False
+        for side in theory._sides:
+            assert side.direct == (side.guard is None and not side.checked_at
+                                   and not side.term_extras), side
+        value_pool = default_value_pool(theory, terms)
+        term_pool = term_candidate_pool(terms)
+        for sub in {u: None for t in terms for u in subterms_of(t)}:
+            got, want = (
+                [((d.side.eq_index, d.side.direction), d.values, d.size, d.plain)
+                 for d in _draws_at(th, sub, value_pool, term_pool, 8, 8)]
+                for th in (theory, general))
+            assert got == want, sub
+            direct += sum(theory._sides[2 * i + (way == "rl")].direct for (i, way), *_ in got)
+    assert direct > 500
+
+
+def test_a_logical_extra_under_a_true_constraint_is_drawn_from_the_pools(monkeypatch):
+    theory = parse_theory(
+        "(theory (model lia) (sorts U) (fun f (Int) U) (fun g (Int) U)"
+        " (eq (vars (x Int) (y Int)) (pi x y) (constraint true) (f x) (g y)))").theory
+    lr = theory._sides[0]
+    assert lr.guard is not None and lr.logical_extras and not lr.direct
+    calls = []
+    logical_draws = equations._logical_draws
+    monkeypatch.setattr(equations, "_logical_draws",
+                        lambda *args: calls.append(args[1]) or logical_draws(*args))
+    sub = parse_term(theory, "f(3)")
+    draws = _draws_at(theory, sub, default_value_pool(theory, [sub]), {}, 4, 5)
+    assert calls == [lr.guard]
+    assert [tuple(u.fun.value for u in d.values) for d in draws] == \
+        [(3, 0), (3, 1), (3, -1), (3, 2), (3, -2)]
